@@ -1,7 +1,7 @@
 """Command-line interface: analyze a series, train, extract features, evaluate.
 
-Exit codes: 0 success, 2 series/ingest errors, 3 model errors, 4 malformed
-CSV/labels/config input.
+Exit codes: 0 success, 2 series/ingest errors (a failed slice included), 3
+model errors, 4 malformed CSV/labels/config input.
 """
 
 import argparse
@@ -16,6 +16,7 @@ from . import __version__
 from .analytics import report_to_json, report_to_text
 from .config import PipelineConfig
 from .ensemble import (
+    CV_FOLDS,
     BaggedTreesClassifier,
     cross_validate,
     evaluate,
@@ -33,6 +34,7 @@ from .errors import (
     ModelVersionError,
     SeriesShapeError,
     SingleClassError,
+    SliceError,
     UnsupportedError,
 )
 from .features import read_feature_csv, write_feature_csv
@@ -80,6 +82,15 @@ def _load_config(args):
     return config.override(**overrides)
 
 
+def _load_series(args, config):
+    return load_series(
+        args.series_dir,
+        window=(config.window_center, config.window_width),
+        default_thickness_mm=config.slice_thickness_mm,
+        default_spacing_mm=(config.pixel_spacing_row_mm, config.pixel_spacing_col_mm),
+    )
+
+
 def parse_labels_file(path):
     """Read 'patient_id: i,j,k' lines into {patient_id: set(indices)}."""
     table = {}
@@ -113,12 +124,7 @@ def cmd_analyze(args):
         return _fail(EXIT_INPUT, exc)
     start = time.perf_counter()
     try:
-        series = load_series(
-            args.series_dir,
-            window=(config.window_center, config.window_width),
-            default_thickness_mm=config.slice_thickness_mm,
-            default_spacing_mm=(config.pixel_spacing_row_mm, config.pixel_spacing_col_mm),
-        )
+        series = _load_series(args, config)
     except _INGEST_ERRORS as exc:
         return _fail(EXIT_INGEST, exc)
     try:
@@ -126,7 +132,10 @@ def cmd_analyze(args):
     except (ModelFormatError, ModelVersionError, OSError) as exc:
         return _fail(EXIT_MODEL, exc)
 
-    report, positives = classify_series(series, model, config, workers=config.threads)
+    try:
+        report, positives = classify_series(series, model, config, workers=config.threads)
+    except SliceError as exc:
+        return _fail(EXIT_INGEST, exc)
 
     out_root = Path(args.out)
     patient_dir = out_root / series.patient_id
@@ -187,10 +196,7 @@ def cmd_train(args):
     groups = patient_ids if args.cv_split == "patient" else None
     try:
         model = BaggedTreesClassifier(**config.classifier_kwargs()).fit(X, y)
-        cv = cross_validate(
-            X, y, k=args.cv_folds, seed=config.seed, groups=groups,
-            **{k: v for k, v in config.classifier_kwargs().items() if k != "seed"},
-        )
+        cv = cross_validate(X, y, k=args.cv_folds, groups=groups, **config.classifier_kwargs())
     except (SingleClassError, FoldTooSmallError, ValueError) as exc:
         return _fail(EXIT_INPUT, exc)
 
@@ -210,12 +216,7 @@ def cmd_extract_features(args):
     except ValueError as exc:
         return _fail(EXIT_INPUT, exc)
     try:
-        series = load_series(
-            args.series_dir,
-            window=(config.window_center, config.window_width),
-            default_thickness_mm=config.slice_thickness_mm,
-            default_spacing_mm=(config.pixel_spacing_row_mm, config.pixel_spacing_col_mm),
-        )
+        series = _load_series(args, config)
     except _INGEST_ERRORS as exc:
         return _fail(EXIT_INGEST, exc)
 
@@ -227,7 +228,10 @@ def cmd_extract_features(args):
             return _fail(EXIT_INPUT, exc)
         positive_slices = table.get(series.patient_id, set())
 
-    per_slice = segment_series(series.slices, config, workers=config.threads)
+    try:
+        per_slice = segment_series(series.slices, config, workers=config.threads)
+    except SliceError as exc:
+        return _fail(EXIT_INGEST, exc)
     rows = []
     for slice_index, candidates in enumerate(per_slice):
         for cand in candidates:
@@ -295,7 +299,7 @@ def build_parser():
     p.add_argument("features_csv", help="CSV written by extract-features")
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--out", default="classifier.lctm", help="model file to write")
-    p.add_argument("--cv-folds", type=int, default=15, help="cross-validation folds")
+    p.add_argument("--cv-folds", type=int, default=CV_FOLDS, help="cross-validation folds")
     p.add_argument("--cv-split", choices=("patient", "slice"), default="patient",
                    help="fold at patient or slice granularity")
     _add_config_flags(p)

@@ -2,9 +2,11 @@
 
 Serialized as plain ``key = value`` lines (``#`` comments allowed) so a
 run's settings diff cleanly. Every field can also be overridden by a CLI
-flag of the same name with dashes.
+flag of the same name with dashes. This is the only place a default is
+written: the layers take theirs from :data:`DEFAULTS`.
 """
 
+import inspect
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -12,7 +14,8 @@ from pathlib import Path
 @dataclass
 class PipelineConfig:
     # ingest: display window applied to DICOM stored values (PGM input is
-    # used as-is); fallback geometry for headerless PGM series
+    # used as-is), a lung/soft-tissue compromise; fallback geometry for
+    # headerless PGM series
     window_center: float = -300.0
     window_width: float = 1400.0
     slice_thickness_mm: float = 5.0
@@ -68,27 +71,29 @@ class PipelineConfig:
                 current[key] = value
         return PipelineConfig(**current)
 
+    def _kwargs_for(self, consumer):
+        """The fields named by ``consumer``'s parameters, as keyword arguments."""
+        params = inspect.signature(consumer).parameters
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name in params}
+
     def preprocess_kwargs(self):
-        return {
-            "blackout_fraction": self.blackout_fraction,
-            "band_lo": self.band_lo,
-            "band_hi": self.band_hi,
-            "strip_width_fraction": self.strip_width_fraction,
-            "cleanup_radius_close": self.cleanup_radius_close,
-            "cleanup_radius_open": self.cleanup_radius_open,
-        }
+        """Keyword arguments for :func:`lungct.preprocess.preprocess_slice`."""
+        from .preprocess import preprocess_slice
+
+        return self._kwargs_for(preprocess_slice)
 
     def classifier_kwargs(self):
-        return {
-            "n_trees": self.n_trees,
-            "min_leaf": self.min_leaf,
-            "max_depth": self.max_depth,
-            "seed": self.seed,
-        }
+        """Keyword arguments for :class:`lungct.ensemble.BaggedTreesClassifier`."""
+        from .ensemble import BaggedTreesClassifier
+
+        return self._kwargs_for(BaggedTreesClassifier)
 
     def to_text(self):
         lines = [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)]
         return "\n".join(lines) + "\n"
+
+
+DEFAULTS = PipelineConfig()
 
 
 def _coerce(annotation, text, key):

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import DEFAULTS
 from .errors import FormatError, MissingTagError, UnsupportedError
 
 PREAMBLE_LEN = 128
@@ -29,12 +30,10 @@ TAG_ROWS = (0x0028, 0x0010)
 TAG_COLS = (0x0028, 0x0011)
 TAG_PIXEL_SPACING = (0x0028, 0x0030)
 TAG_BITS_ALLOCATED = (0x0028, 0x0100)
+TAG_PIXEL_REPRESENTATION = (0x0028, 0x0103)
 TAG_RESCALE_INTERCEPT = (0x0028, 0x1052)
 TAG_RESCALE_SLOPE = (0x0028, 0x1053)
 TAG_PIXEL_DATA = (0x7FE0, 0x0010)
-
-DEFAULT_SLICE_THICKNESS_MM = 5.0
-DEFAULT_PIXEL_SPACING_MM = (1.0, 1.0)
 
 # Explicit-VR codes that use the 4-byte length form (2 reserved bytes first).
 _LONG_VRS = {b"OB", b"OW", b"OF", b"SQ", b"UT", b"UN"}
@@ -51,8 +50,8 @@ class DicomObject:
     bits_allocated: int = 16
     rescale_slope: float = 1.0
     rescale_intercept: float = 0.0
-    slice_thickness_mm: float = DEFAULT_SLICE_THICKNESS_MM
-    pixel_spacing_mm: tuple = DEFAULT_PIXEL_SPACING_MM
+    slice_thickness_mm: float = DEFAULTS.slice_thickness_mm
+    pixel_spacing_mm: tuple = (DEFAULTS.pixel_spacing_row_mm, DEFAULTS.pixel_spacing_col_mm)
     patient_id: str = ""
     instance_number: int = 0
     pixel_data: np.ndarray = None
@@ -205,7 +204,7 @@ def parse_dicom(data: bytes) -> DicomObject:
         if thickness <= 0:
             raise FormatError(f"SliceThickness must be positive, got {thickness}")
     else:
-        thickness = DEFAULT_SLICE_THICKNESS_MM
+        thickness = DEFAULTS.slice_thickness_mm
         warnings.warn(
             f"SliceThickness missing; assuming {thickness} mm", stacklevel=2
         )
@@ -216,10 +215,14 @@ def parse_dicom(data: bytes) -> DicomObject:
             raise FormatError(f"malformed PixelSpacing {values}")
         spacing = (values[0], values[1])
     else:
-        spacing = DEFAULT_PIXEL_SPACING_MM
+        spacing = (DEFAULTS.pixel_spacing_row_mm, DEFAULTS.pixel_spacing_col_mm)
 
+    # PixelRepresentation 1 stores two's complement; 0 (or no tag) unsigned.
+    signed = _decode_us(tags.get(TAG_PIXEL_REPRESENTATION, b"\0\0"), TAG_PIXEL_REPRESENTATION)
+    if signed not in (0, 1):
+        raise FormatError(f"PixelRepresentation must be 0 or 1, got {signed}")
     raw_pixels = _require(tags, TAG_PIXEL_DATA)
-    dtype = np.dtype("<u2") if bits == 16 else np.dtype("u1")
+    dtype = np.dtype(f"<{'i' if signed else 'u'}{bits // 8}")
     if bits == 8 and len(raw_pixels) == rows * cols + 1:
         raw_pixels = raw_pixels[:-1]  # even-length padding byte
     if len(raw_pixels) != rows * cols * dtype.itemsize:

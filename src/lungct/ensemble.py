@@ -7,13 +7,13 @@ exact integer scores, never floats, so ties are unambiguous.
 """
 
 import struct
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .base import ParamsMixin
+from .config import DEFAULTS
 from .errors import (
     EmptyTrainingSetError,
     FoldTooSmallError,
@@ -26,6 +26,8 @@ from .features import FEATURE_NAMES
 
 MODEL_MAGIC = b"LCTM"
 MODEL_VERSION = 1
+
+CV_FOLDS = 15  # cross_validate's default k and the CLI's --cv-folds
 
 _MASK64 = (1 << 64) - 1
 
@@ -139,7 +141,7 @@ def _best_split(X, y, min_leaf):
     return f, threshold, order[:nl], order[nl:]
 
 
-def train_tree(X, y, min_leaf=5, max_depth=12) -> DecisionTree:
+def train_tree(X, y, min_leaf=DEFAULTS.min_leaf, max_depth=DEFAULTS.max_depth) -> DecisionTree:
     """Grow one tree by greedy Gini splits with deterministic tie-breaking."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -189,7 +191,8 @@ class BaggedTreesClassifier(ParamsMixin):
     to 0; the confidence is the fraction of trees voting 1.
     """
 
-    def __init__(self, n_trees=30, seed=0, min_leaf=5, max_depth=12):
+    def __init__(self, n_trees=DEFAULTS.n_trees, seed=DEFAULTS.seed, min_leaf=DEFAULTS.min_leaf,
+                 max_depth=DEFAULTS.max_depth):
         self.n_trees = n_trees
         self.seed = seed
         self.min_leaf = min_leaf
@@ -222,7 +225,6 @@ class BaggedTreesClassifier(ParamsMixin):
         ]
         self.n_samples_ = n
         self.feature_names_ = FEATURE_NAMES
-        self.fitted_at_ = time.time()
         return self
 
     def _votes(self, X):
@@ -242,11 +244,11 @@ class BaggedTreesClassifier(ParamsMixin):
     def predict_one(self, features):
         """(label, confidence) for a single feature vector or RegionFeatures."""
         vec = features.as_vector() if hasattr(features, "as_vector") else features
-        x = np.asarray(vec, dtype=np.float64).reshape(1, 3)
-        return int(self.predict(x)[0]), float(self.predict_confidence(x)[0])
+        votes = int(self._votes(np.asarray(vec, dtype=np.float64).reshape(1, 3))[0])
+        return int(votes * 2 > len(self.trees_)), votes / len(self.trees_)
 
 
-def cross_validate(X, y, k=15, seed=0, groups=None, **model_params):
+def cross_validate(X, y, k=CV_FOLDS, seed=DEFAULTS.seed, groups=None, **model_params):
     """Deterministic k-fold cross-validation.
 
     Samples (or whole groups, when ``groups`` is given - e.g. patient ids
@@ -391,7 +393,6 @@ def load_model(path) -> BaggedTreesClassifier:
     model.trees_ = trees
     model.n_samples_ = n_samples
     model.feature_names_ = names
-    model.fitted_at_ = None
     return model
 
 

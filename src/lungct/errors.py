@@ -61,6 +61,10 @@ class EmptyRegionError(LungCtError):
     """A region operation needs at least one non-zero pixel."""
 
 
+class SliceError(LungCtError, RuntimeError):
+    """Analysing one slice of a series failed; the message starts with its index."""
+
+
 # --- classifier -------------------------------------------------------------
 
 class EmptyTrainingSetError(LungCtError):

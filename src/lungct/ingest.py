@@ -1,21 +1,15 @@
 """Series ingestion: DICOM (or PGM fallback) files to an ordered slice stack."""
 
-import logging
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .config import DEFAULTS
 from .dicom import MAGIC, PREAMBLE_LEN, DicomObject, parse_dicom
 from .errors import EmptySeriesError, FormatError, MixedSeriesError, SeriesShapeError
 from .validation import as_gray_image, round_half_away
-
-log = logging.getLogger(__name__)
-
-# Declared default display window (center, width). Chosen as a lung/soft-tissue
-# compromise; override per run when the acquisition calls for something else.
-DEFAULT_WINDOW = (-300.0, 1400.0)
 
 
 @dataclass
@@ -37,7 +31,8 @@ class CtSeries:
         return len(self.slices)
 
 
-def to_gray8(obj: DicomObject, window_center=DEFAULT_WINDOW[0], window_width=DEFAULT_WINDOW[1]):
+def to_gray8(obj: DicomObject, window_center=DEFAULTS.window_center,
+             window_width=DEFAULTS.window_width):
     """Convert stored pixel values to 8-bit gray via rescale + linear window.
 
     Stored value v maps to ``hu = v * slope + intercept``, then the window
@@ -104,9 +99,9 @@ def _looks_like_dicom(data):
 
 def load_series(
     directory,
-    window=DEFAULT_WINDOW,
-    default_thickness_mm=5.0,
-    default_spacing_mm=(1.0, 1.0),
+    window=(DEFAULTS.window_center, DEFAULTS.window_width),
+    default_thickness_mm=DEFAULTS.slice_thickness_mm,
+    default_spacing_mm=(DEFAULTS.pixel_spacing_row_mm, DEFAULTS.pixel_spacing_col_mm),
 ) -> CtSeries:
     """Load every readable slice in ``directory`` into an ordered series.
 

@@ -6,9 +6,12 @@ operators treat the image border by shrinking the neighborhood: pixels
 outside the image simply do not participate, no padding value is
 invented.
 
-Internally everything runs on int32 arrays so intermediate images may
-leave [0, 255] (reconstruction tricks rely on that); the public
-functions accept and return uint8.
+Only the max side is implemented, on int32: one disk max filter and one
+geodesic-dilation fixpoint loop. Every min-based operator is its exact
+dual, ``min(f) = -max(-f)`` (negate, run the max kernel, negate back),
+so intermediate images may leave [0, 255]. Each public function
+validates and converts its uint8 input once and composes the int32
+kernels, never the public functions.
 """
 
 import warnings
@@ -19,8 +22,7 @@ import numpy as np
 from .errors import EmptyMarkerError
 from .validation import as_bool_mask, as_gray_image, require_same_shape
 
-# Sentinels that can never win a min/max against real data.
-_HI = np.int32(2**30)
+# Padding that never wins a max against real (or negated) data.
 _LO = np.int32(-(2**30))
 
 _OFFSETS_8 = tuple((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx)
@@ -53,80 +55,78 @@ def make_disk(radius: int) -> StructuringElement:
     return StructuringElement(radius=radius, offsets=offsets)
 
 
-def _minmax_filter(arr, se, take_min):
-    """Shrinking-border min/max filter over the structuring element (int32)."""
+def _max_filter(arr, se):
+    """Shrinking-border max filter over the structuring element (int32)."""
     h, w = arr.shape
     r = se.radius
     if r == 0:
         return arr.copy()
-    pad_value = _HI if take_min else _LO
-    padded = np.pad(arr, r, constant_values=pad_value)
+    padded = np.pad(arr, r, constant_values=_LO)
     out = arr.copy()
-    combine = np.minimum if take_min else np.maximum
     for dx, dy in se.offsets:
         if dx == 0 and dy == 0:
             continue
         view = padded[r + dy : r + dy + h, r + dx : r + dx + w]
-        combine(out, view, out=out)
+        np.maximum(out, view, out=out)
     return out
+
+
+def _min_filter(arr, se):
+    return -_max_filter(-arr, se)
+
+
+def _as_int(img, name="image"):
+    return as_gray_image(img, name).astype(np.int32)
 
 
 def erode(img, se: StructuringElement):
     """Minimum over the disk neighborhood of each pixel."""
-    arr = as_gray_image(img).astype(np.int32)
-    return _minmax_filter(arr, se, take_min=True).astype(np.uint8)
+    return _min_filter(_as_int(img), se).astype(np.uint8)
 
 
 def dilate(img, se: StructuringElement):
     """Maximum over the disk neighborhood of each pixel."""
-    arr = as_gray_image(img).astype(np.int32)
-    return _minmax_filter(arr, se, take_min=False).astype(np.uint8)
+    return _max_filter(_as_int(img), se).astype(np.uint8)
 
 
 def open_image(img, se: StructuringElement):
     """Erosion followed by dilation: removes bright structures below the disk."""
-    return dilate(erode(img, se), se)
+    return _max_filter(_min_filter(_as_int(img), se), se).astype(np.uint8)
 
 
 def close_image(img, se: StructuringElement):
     """Dilation followed by erosion: fills dark structures below the disk."""
-    return erode(dilate(img, se), se)
+    return _min_filter(_max_filter(_as_int(img), se), se).astype(np.uint8)
 
 
 # --- geodesic reconstruction ---------------------------------------------------
 
-def _elementary(arr, padded, out, offsets, take_min):
-    """One 3x3 (or cross) min/max step using a preallocated padded buffer."""
-    h, w = arr.shape
-    padded[1 : 1 + h, 1 : 1 + w] = arr
-    np.copyto(out, arr)
-    combine = np.minimum if take_min else np.maximum
-    for dy, dx in offsets:
-        view = padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
-        combine(out, view, out=out)
-    return out
-
-
-def _reconstruct_int(marker, mask, by_dilation, connectivity=8):
-    """Iterate geodesic dilation (or erosion) to the fixpoint, on int32."""
+def _reconstruct(marker, mask, connectivity):
+    """Iterate geodesic dilation of ``marker`` under ``mask`` to the fixpoint (int32)."""
+    if connectivity not in (4, 8):
+        raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
     offsets = _OFFSETS_8 if connectivity == 8 else _OFFSETS_4
     h, w = marker.shape
-    pad_value = _LO if by_dilation else _HI
-    padded = np.full((h + 2, w + 2), pad_value, dtype=np.int32)
+    padded = np.full((h + 2, w + 2), _LO, dtype=np.int32)
+    inner = padded[1 : 1 + h, 1 : 1 + w]
     cur = marker.copy()
     buf = np.empty_like(cur)
-    clamp = np.minimum if by_dilation else np.maximum
     while True:
-        _elementary(cur, padded, buf, offsets, take_min=not by_dilation)
-        clamp(buf, mask, out=buf)
+        inner[...] = cur
+        np.copyto(buf, cur)
+        for dy, dx in offsets:
+            np.maximum(buf, padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w], out=buf)
+        np.minimum(buf, mask, out=buf)
         if np.array_equal(buf, cur):
             return cur
         cur, buf = buf, cur
 
 
-def _check_connectivity(connectivity):
-    if connectivity not in (4, 8):
-        raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
+def _marker_and_mask(marker, mask):
+    marker = _as_int(marker, "marker")
+    mask = _as_int(mask, "mask")
+    require_same_shape(marker, mask, "marker and mask")
+    return marker, mask
 
 
 def reconstruct_by_dilation(marker, mask, connectivity=8):
@@ -134,58 +134,48 @@ def reconstruct_by_dilation(marker, mask, connectivity=8):
 
     A marker exceeding the mask anywhere is clamped down with a warning.
     """
-    _check_connectivity(connectivity)
-    marker = as_gray_image(marker, "marker").astype(np.int32)
-    mask = as_gray_image(mask, "mask").astype(np.int32)
-    require_same_shape(marker, mask, "marker and mask")
+    marker, mask = _marker_and_mask(marker, mask)
     if np.any(marker > mask):
         warnings.warn("marker exceeds mask; clamping marker to mask", stacklevel=2)
         marker = np.minimum(marker, mask)
-    return _reconstruct_int(marker, mask, by_dilation=True, connectivity=connectivity).astype(np.uint8)
+    return _reconstruct(marker, mask, connectivity).astype(np.uint8)
 
 
 def reconstruct_by_erosion(marker, mask, connectivity=8):
     """Shrink ``marker`` onto ``mask`` until stable (marker >= mask required)."""
-    _check_connectivity(connectivity)
-    marker = as_gray_image(marker, "marker").astype(np.int32)
-    mask = as_gray_image(mask, "mask").astype(np.int32)
-    require_same_shape(marker, mask, "marker and mask")
+    marker, mask = _marker_and_mask(marker, mask)
     if np.any(marker < mask):
         warnings.warn("marker is below mask; clamping marker to mask", stacklevel=2)
         marker = np.maximum(marker, mask)
-    return _reconstruct_int(marker, mask, by_dilation=False, connectivity=connectivity).astype(np.uint8)
+    return (-_reconstruct(-marker, -mask, connectivity)).astype(np.uint8)
 
 
 def open_by_reconstruction(img, se: StructuringElement, connectivity=8):
     """Erode, then rebuild surviving structures to their exact original shape."""
-    img = as_gray_image(img)
-    marker = erode(img, se).astype(np.int32)
-    return _reconstruct_int(marker, img.astype(np.int32), True, connectivity).astype(np.uint8)
+    arr = _as_int(img)
+    return _reconstruct(_min_filter(arr, se), arr, connectivity).astype(np.uint8)
 
 
 def close_by_reconstruction(img, se: StructuringElement, connectivity=8):
     """Dilate, then rebuild: dark structures below the disk are filled."""
-    img = as_gray_image(img)
-    marker = dilate(img, se).astype(np.int32)
-    return _reconstruct_int(marker, img.astype(np.int32), False, connectivity).astype(np.uint8)
+    arr = _as_int(img)
+    return (-_reconstruct(-_max_filter(arr, se), -arr, connectivity)).astype(np.uint8)
 
 
 # --- regional extrema ------------------------------------------------------------
 
+def _regional_maxima(arr, connectivity):
+    return arr > _reconstruct(arr - 1, arr, connectivity)
+
+
 def regional_maxima(img, connectivity=8):
     """Mask of connected plateaus with no strictly brighter neighbor."""
-    _check_connectivity(connectivity)
-    arr = as_gray_image(img).astype(np.int32)
-    rec = _reconstruct_int(arr - 1, arr, by_dilation=True, connectivity=connectivity)
-    return arr > rec
+    return _regional_maxima(_as_int(img), connectivity)
 
 
 def regional_minima(img, connectivity=8):
     """Mask of connected plateaus with no strictly darker neighbor."""
-    _check_connectivity(connectivity)
-    arr = as_gray_image(img).astype(np.int32)
-    rec = _reconstruct_int(arr + 1, arr, by_dilation=False, connectivity=connectivity)
-    return arr < rec
+    return _regional_maxima(255 - _as_int(img), connectivity)
 
 
 def impose_minima(img, markers, connectivity=8):
@@ -194,26 +184,17 @@ def impose_minima(img, markers, connectivity=8):
     Marker pixels drop to 0; everywhere else the output stays strictly
     positive and no non-marker minimum survives.
     """
-    _check_connectivity(connectivity)
-    arr = as_gray_image(img).astype(np.int32)
+    arr = _as_int(img)
     markers = as_bool_mask(markers, arr.shape, "markers")
     if not markers.any():
         raise EmptyMarkerError("marker mask selects no pixel")
-    forced = np.where(markers, np.int32(0), _HI)
-    fence = np.minimum(arr + 1, forced)
-    out = _reconstruct_int(forced, fence, by_dilation=False, connectivity=connectivity)
+    # Reconstruction by erosion of (0 on markers, +inf elsewhere) above
+    # min(img + 1, that marker), written as its dual.
+    forced = np.where(markers, np.int32(0), _LO)
+    out = -_reconstruct(forced, np.maximum(-arr - 1, forced), connectivity)
     return np.clip(out, 0, 255).astype(np.uint8)
 
 
 def erode_mask(mask, se: StructuringElement):
     """Binary erosion with the shrinking-border policy."""
-    mask = as_bool_mask(mask)
-    arr = mask.astype(np.int32)
-    return _minmax_filter(arr, se, take_min=True).astype(bool)
-
-
-def dilate_mask(mask, se: StructuringElement):
-    """Binary dilation with the shrinking-border policy."""
-    mask = as_bool_mask(mask)
-    arr = mask.astype(np.int32)
-    return _minmax_filter(arr, se, take_min=False).astype(bool)
+    return _min_filter(as_bool_mask(mask).astype(np.int32), se).astype(bool)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import SliceDetection, build_report
-from .config import PipelineConfig
+from .config import DEFAULTS, PipelineConfig
+from .errors import SliceError
 from .features import RegionFeatures, feature_vector
 from .ingest import CtSeries
 from .morphology import erode_mask, make_disk
@@ -61,10 +62,10 @@ def _slice_task(payload):
     try:
         return index, analyze_slice(original, config, slice_index=index)
     except Exception as exc:
-        raise RuntimeError(f"slice {index}: {exc}") from exc
+        raise SliceError(f"slice {index}: {exc}") from exc
 
 
-def segment_series(slices, config: PipelineConfig, workers=1):
+def segment_series(slices, config: PipelineConfig, workers=DEFAULTS.threads):
     """Candidates for every slice, ordered by slice index."""
     tasks = [(i, np.asarray(img), config) for i, img in enumerate(slices)]
     if workers <= 1:
@@ -76,7 +77,7 @@ def segment_series(slices, config: PipelineConfig, workers=1):
     return [cands for _, cands in results]
 
 
-def classify_series(series: CtSeries, model, config: PipelineConfig, workers=1):
+def classify_series(series: CtSeries, model, config: PipelineConfig, workers=DEFAULTS.threads):
     """Run the full detection pipeline over a series.
 
     Returns ``(report, positive_candidates)``; the candidates keep their

@@ -7,9 +7,12 @@ trachea region merges with its surrounding wall, then a closing/opening
 pass to fill gaps inside bright structures and cut thin attachments.
 """
 
+import inspect
+
 import numpy as np
 
 from .base import ParamsMixin
+from .config import DEFAULTS
 from .morphology import close_image, make_disk, open_image
 from .validation import as_gray_image, check_fraction, round_half_away
 
@@ -19,7 +22,7 @@ BAND_SPAN = 20
 STRIP_VALUE = 20        # middle of the suppressed 10..30 range
 
 
-def blackout_bands(img, fraction=0.20):
+def blackout_bands(img, fraction=DEFAULTS.blackout_fraction):
     """Zero the top and bottom ``fraction`` of image rows."""
     check_fraction(fraction, "fraction", 0.0, 0.5, inclusive_high=False)
     img = as_gray_image(img)
@@ -42,7 +45,7 @@ def _remap_lut(band_lo, band_hi):
     return np.where(in_band, inside, outside).astype(np.uint8)
 
 
-def remap_intensity(img, band_lo=110, band_hi=130):
+def remap_intensity(img, band_lo=DEFAULTS.band_lo, band_hi=DEFAULTS.band_hi):
     """Step the [band_lo, band_hi] range up to 210..230, everything else down to 10..30."""
     if not 0 <= band_lo < band_hi <= 255:
         raise ValueError(f"need 0 <= band_lo < band_hi <= 255, got {band_lo}, {band_hi}")
@@ -50,7 +53,8 @@ def remap_intensity(img, band_lo=110, band_hi=130):
     return _remap_lut(band_lo, band_hi)[img]
 
 
-def apply_central_strip(img, width_fraction=0.06, blackout_fraction=0.20, value=STRIP_VALUE):
+def apply_central_strip(img, width_fraction=DEFAULTS.strip_width_fraction,
+                        blackout_fraction=DEFAULTS.blackout_fraction, value=STRIP_VALUE):
     """Paint a vertical strip of ``value`` through the image center.
 
     The strip is ``floor(width_fraction * width)`` pixels wide, widened to
@@ -73,7 +77,8 @@ def apply_central_strip(img, width_fraction=0.06, blackout_fraction=0.20, value=
     return out
 
 
-def cleanup(img, close_radius=3, open_radius=3):
+def cleanup(img, close_radius=DEFAULTS.cleanup_radius_close,
+            open_radius=DEFAULTS.cleanup_radius_open):
     """Close then open with small disks: fill interior gaps, detach thin bridges."""
     if close_radius < 1 or open_radius < 1:
         raise ValueError("cleanup radii must be >= 1")
@@ -83,12 +88,12 @@ def cleanup(img, close_radius=3, open_radius=3):
 
 def preprocess_slice(
     img,
-    blackout_fraction=0.20,
-    band_lo=110,
-    band_hi=130,
-    strip_width_fraction=0.06,
-    cleanup_radius_close=3,
-    cleanup_radius_open=3,
+    blackout_fraction=DEFAULTS.blackout_fraction,
+    band_lo=DEFAULTS.band_lo,
+    band_hi=DEFAULTS.band_hi,
+    strip_width_fraction=DEFAULTS.strip_width_fraction,
+    cleanup_radius_close=DEFAULTS.cleanup_radius_close,
+    cleanup_radius_open=DEFAULTS.cleanup_radius_open,
 ):
     """Full preprocessing chain on one slice; deterministic, pure."""
     out = blackout_bands(img, blackout_fraction)
@@ -97,28 +102,27 @@ def preprocess_slice(
     return cleanup(out, cleanup_radius_close, cleanup_radius_open)
 
 
+# SlicePreprocessor's parameters are preprocess_slice's, with ``self`` in place of the image.
+_SLICE_PARAMS = list(inspect.signature(preprocess_slice).parameters.values())
+_INIT_SIGNATURE = inspect.Signature([_SLICE_PARAMS[0].replace(name="self"), *_SLICE_PARAMS[1:]])
+
+
 class SlicePreprocessor(ParamsMixin):
     """Estimator-style wrapper over the preprocessing chain.
 
     Stateless: ``fit`` records nothing and exists so the class slots into
     pipeline tooling; ``transform`` accepts one slice or a slice stack.
+    Its parameters, names and defaults alike, are those of
+    :func:`preprocess_slice` after the image.
     """
 
-    def __init__(
-        self,
-        blackout_fraction=0.20,
-        band_lo=110,
-        band_hi=130,
-        strip_width_fraction=0.06,
-        cleanup_radius_close=3,
-        cleanup_radius_open=3,
-    ):
-        self.blackout_fraction = blackout_fraction
-        self.band_lo = band_lo
-        self.band_hi = band_hi
-        self.strip_width_fraction = strip_width_fraction
-        self.cleanup_radius_close = cleanup_radius_close
-        self.cleanup_radius_open = cleanup_radius_open
+    def __init__(self, *args, **kwargs):
+        bound = _INIT_SIGNATURE.bind(self, *args, **kwargs)
+        bound.apply_defaults()
+        del bound.arguments["self"]
+        vars(self).update(bound.arguments)
+
+    __init__.__signature__ = _INIT_SIGNATURE
 
     def fit(self, X=None, y=None):
         return self
@@ -132,12 +136,4 @@ class SlicePreprocessor(ParamsMixin):
         raise ValueError(f"expected a slice or slice stack, got shape {X.shape}")
 
     def _one(self, img):
-        return preprocess_slice(
-            img,
-            blackout_fraction=self.blackout_fraction,
-            band_lo=self.band_lo,
-            band_hi=self.band_hi,
-            strip_width_fraction=self.strip_width_fraction,
-            cleanup_radius_close=self.cleanup_radius_close,
-            cleanup_radius_open=self.cleanup_radius_open,
-        )
+        return preprocess_slice(img, **self.get_params())

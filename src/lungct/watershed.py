@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from .config import DEFAULTS
 from .errors import NoMarkerError, ShapeError
 from .morphology import (
     close_by_reconstruction,
@@ -29,6 +30,8 @@ from .validation import as_bool_mask, as_gray_image
 # a single 4-connected component; extrema detection above stays 8-connected.
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _FULL = np.ones((3, 3), dtype=bool)
+
+BORDER_EROSION_RADIUS = 2  # the dark area shrinks by this disk before it marks background
 
 
 @dataclass
@@ -80,7 +83,7 @@ def otsu_threshold(img) -> int:
     return best_t
 
 
-def compute_markers(pre, disk_radius=8, border_erosion_radius=2, threshold=None) -> MarkerSet:
+def compute_markers(pre, disk_radius=DEFAULTS.disk_radius, threshold=None) -> MarkerSet:
     """Derive watershed markers from a preprocessed slice.
 
     Opening- then closing-by-reconstruction with a disk flattens texture
@@ -114,7 +117,7 @@ def compute_markers(pre, disk_radius=8, border_erosion_radius=2, threshold=None)
         dark_ids = np.flatnonzero(~comp_bright.astype(bool)) + 1
         if dark_ids.size:
             dark_maxima = np.isin(labels, dark_ids)
-    background = (dark_maxima | erode_mask(~bright, make_disk(border_erosion_radius))) & ~foreground
+    background = (dark_maxima | erode_mask(~bright, make_disk(BORDER_EROSION_RADIUS))) & ~foreground
     return MarkerSet(foreground=foreground, background=background)
 
 

@@ -21,6 +21,7 @@ _VRS = {
     (0x0028, 0x0011): "US",
     (0x0028, 0x0030): "DS",
     (0x0028, 0x0100): "US",
+    (0x0028, 0x0103): "US",
     (0x0028, 0x1052): "DS",
     (0x0028, 0x1053): "DS",
     (0x7FE0, 0x0010): "OW",
@@ -33,13 +34,13 @@ def _even(value, pad=b" "):
     return value if len(value) % 2 == 0 else value + pad
 
 
-def _encode(tag, value, bits=16):
-    """Encode a python value for the given tag."""
+def _encode(tag, value, bits=16, signed=False):
+    """Encode a python value for the given tag; pixels as two's complement if ``signed``."""
     vr = _VRS.get(tag, "LO")
     if vr == "US":
         return struct.pack("<H", value), vr
     if vr == "OW":
-        arr = np.asarray(value, dtype=np.dtype("<u2") if bits == 16 else np.dtype("u1"))
+        arr = np.asarray(value, dtype=np.dtype(f"<{'i' if signed else 'u'}{bits // 8}"))
         return _even(arr.tobytes(), b"\x00"), vr
     if vr in ("DS", "IS", "LO"):
         if isinstance(value, (list, tuple)):
@@ -77,6 +78,7 @@ def build_dicom(
     intercept=None,
     thickness=None,
     spacing=None,
+    pixel_representation=None,
     magic=b"DICM",
     transfer_syntax=None,
     omit=(),
@@ -86,6 +88,8 @@ def build_dicom(
 
     ``extra_elements`` are raw pre-encoded element bytes appended at the
     very end of the dataset; ``omit`` removes tags by (group, element).
+    ``pixel_representation`` 1 writes the tag and stores signed pixels;
+    None leaves the tag out.
     """
     ts = transfer_syntax or (TS_EXPLICIT if explicit else TS_IMPLICIT)
     ts_bytes = _even(ts.encode("ascii"), b"\x00")
@@ -103,6 +107,7 @@ def build_dicom(
         (0x0028, 0x0011): cols,
         (0x0028, 0x0030): spacing,
         (0x0028, 0x0100): bits,
+        (0x0028, 0x0103): pixel_representation,
         (0x0028, 0x1052): intercept,
         (0x0028, 0x1053): slope,
         (0x7FE0, 0x0010): pixels,
@@ -111,7 +116,7 @@ def build_dicom(
     for tag in sorted(values):
         if tag in omit or values[tag] is None:
             continue
-        raw, vr = _encode(tag, values[tag], bits=bits)
+        raw, vr = _encode(tag, values[tag], bits=bits, signed=pixel_representation == 1)
         body += element_explicit(tag, raw, vr) if explicit else element_implicit(tag, raw)
     for raw in extra_elements:
         body += raw

@@ -1,5 +1,6 @@
 """CLI and pipeline integration on small synthetic series."""
 
+import inspect
 import json
 
 import numpy as np
@@ -7,10 +8,13 @@ import pytest
 
 from lungct.cli import main, parse_labels_file
 from lungct.config import PipelineConfig
-from lungct.ensemble import BaggedTreesClassifier, save_model
+from lungct.ensemble import BaggedTreesClassifier, cross_validate, save_model, train_tree
 from lungct.features import read_feature_csv, write_feature_csv
+from lungct.ingest import load_series, to_gray8
 from lungct.phantom import make_feature_corpus, make_phantom_series, write_series_pgm
 from lungct.pipeline import segment_series
+from lungct.preprocess import SlicePreprocessor, preprocess_slice
+from lungct.watershed import compute_markers
 
 SERIES_KW = dict(n_slices=6, size=512, tumour_slices=(2, 3), distractor_slices=(4,), seed=21)
 
@@ -231,6 +235,20 @@ def test_slice_failure_reports_slice_index(monkeypatch):
         segment_series(slices, PipelineConfig(), workers=1)
 
 
+def test_slice_failure_exits_2(monkeypatch, phantom_dir, model_file, tmp_path, capsys):
+    import lungct.pipeline as pipeline
+
+    def boom(*args, **kwargs):
+        raise ValueError("kernel exploded")
+
+    monkeypatch.setattr(pipeline, "preprocess_slice", boom)
+    series_dir, _ = phantom_dir
+    assert main(["analyze", str(series_dir), "--model", str(model_file), "--out", str(tmp_path)]) == 2
+    assert "slice 0: kernel exploded" in capsys.readouterr().err
+    assert main(["extract-features", str(series_dir), "--out", str(tmp_path / "f.csv")]) == 2
+    assert "slice 0: kernel exploded" in capsys.readouterr().err
+
+
 def test_parse_labels_file(tmp_path):
     path = tmp_path / "labels.txt"
     path.write_text("# comment\nP1: 1,2,3\nP2:\nP3: 9\n")
@@ -282,6 +300,42 @@ def test_config_text_roundtrip(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text(config.to_text())
     assert PipelineConfig.from_file(path) == config
+
+
+def test_layer_defaults_are_the_config_defaults(rng):
+    config = PipelineConfig()
+    assert SlicePreprocessor().get_params() == config.preprocess_kwargs()
+    assert BaggedTreesClassifier().get_params() == config.classifier_kwargs()
+    img = rng.integers(0, 256, (64, 64)).astype(np.uint8)
+    assert np.array_equal(preprocess_slice(img), preprocess_slice(img, **config.preprocess_kwargs()))
+
+
+@pytest.mark.parametrize("layer", [compute_markers, train_tree, cross_validate, to_gray8])
+def test_layer_signature_defaults_are_the_config_defaults(layer):
+    config = PipelineConfig()
+    params = inspect.signature(layer).parameters
+    shared = [name for name in params if hasattr(config, name)]
+    assert shared
+    assert {name: params[name].default for name in shared} == {
+        name: getattr(config, name) for name in shared
+    }
+
+
+def test_load_series_defaults_are_the_config_defaults():
+    config = PipelineConfig()
+    params = inspect.signature(load_series).parameters
+    assert params["window"].default == (config.window_center, config.window_width)
+    assert params["default_thickness_mm"].default == config.slice_thickness_mm
+    assert params["default_spacing_mm"].default == (
+        config.pixel_spacing_row_mm, config.pixel_spacing_col_mm)
+
+
+def test_config_overrides_reach_layer_kwargs():
+    config = PipelineConfig(band_lo=100, n_trees=7)
+    assert config.preprocess_kwargs()["band_lo"] == 100
+    assert config.classifier_kwargs()["n_trees"] == 7
+    assert SlicePreprocessor(**config.preprocess_kwargs()).get_params() == config.preprocess_kwargs()
+    assert BaggedTreesClassifier(**config.classifier_kwargs()).get_params() == config.classifier_kwargs()
 
 
 def test_cli_config_flag_flows_into_pipeline(phantom_dir, model_file, tmp_path):

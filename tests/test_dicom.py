@@ -85,6 +85,26 @@ def test_eight_bit_pixels():
     assert obj.pixel_data.tolist() == [5, 6, 7]
 
 
+@pytest.mark.parametrize("bits, pixels", [(16, (-1000, -1, 0, 3000)), (8, (-128, -1, 0, 127))])
+def test_signed_pixel_representation(bits, pixels):
+    signed = parse_dicom(build_dicom(**{**BASE, "bits": bits, "pixels": pixels},
+                                     pixel_representation=1))
+    assert signed.pixel_data.tolist() == list(pixels)
+    unsigned = parse_dicom(build_dicom(**BASE, pixel_representation=0))
+    assert unsigned.pixel_data.tolist() == list(BASE["pixels"])
+
+
+def test_signed_air_windows_to_black():
+    obj = parse_dicom(build_dicom(**{**BASE, "pixels": (-1000, -1000, 0, 0)},
+                                  pixel_representation=1))
+    assert to_gray8(obj)[0].tolist() == [0, 0]
+
+
+def test_bad_pixel_representation_rejected():
+    with pytest.raises(FormatError, match="PixelRepresentation"):
+        parse_dicom(build_dicom(**BASE, pixel_representation=2))
+
+
 @pytest.mark.parametrize("tag", [TAG_ROWS, TAG_PATIENT_ID, TAG_INSTANCE_NUMBER, TAG_PIXEL_DATA])
 def test_missing_required_tag(tag):
     with pytest.raises(MissingTagError) as excinfo:

@@ -271,6 +271,17 @@ def test_regional_maxima_connectivity_four(rng):
     )
 
 
+@pytest.mark.parametrize("op", [
+    lambda img: open_by_reconstruction(img, make_disk(1), connectivity=6),
+    lambda img: close_by_reconstruction(img, make_disk(1), connectivity=6),
+    lambda img: regional_minima(img, connectivity=6),
+    lambda img: reconstruct_by_erosion(img, img, connectivity=6),
+])
+def test_bad_connectivity_rejected(op):
+    with pytest.raises(ValueError, match="connectivity"):
+        op(np.zeros((5, 5), dtype=np.uint8))
+
+
 def test_regional_maxima_invariant_under_constant_shift(rng):
     img = rng.integers(0, 200, (16, 16)).astype(np.uint8)
     assert np.array_equal(regional_maxima(img), regional_maxima(img + 40))
