@@ -15,7 +15,7 @@ from .features import RegionFeatures, feature_vector
 from .ingest import CtSeries, load_series, to_gray8
 from .pipeline import analyze_slice, classify_series, segment_series
 from .preprocess import SlicePreprocessor, preprocess_slice
-from .watershed import MarkerSet, candidate_masks, compute_markers, extract_region, watershed
+from .watershed import MarkerSet, candidate_masks, compute_markers, extract_region
 
 __all__ = [
     "BaggedTreesClassifier",
@@ -41,5 +41,4 @@ __all__ = [
     "save_model",
     "segment_series",
     "to_gray8",
-    "watershed",
 ]

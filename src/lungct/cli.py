@@ -1,14 +1,17 @@
 """Command-line interface: analyze a series, train, extract features, evaluate.
 
-Exit codes: 0 success, 2 series/ingest errors (a failed slice included), 3
-model errors, 4 malformed CSV/labels/config input.
+Exit codes: 0 success, 2 series/ingest errors (a failed slice or a dead
+worker process included), 3 model errors, 4 malformed CSV/labels/config input.
 """
 
 import argparse
 import json
+import os
+import shutil
 import sys
 import time
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
 from pathlib import Path
 
@@ -55,6 +58,8 @@ _INGEST_ERRORS = (
     MissingTagError,
     OSError,
 )
+# A slice whose analysis raised, or a pool worker that died mid-series.
+_SEGMENT_ERRORS = (SliceError, BrokenProcessPool)
 
 
 def _fail(code, message):
@@ -127,6 +132,17 @@ def cmd_analyze(args):
         series = _load_series(args, config)
     except _INGEST_ERRORS as exc:
         return _fail(EXIT_INGEST, exc)
+    except ValueError as exc:  # the config's display window, rejected by to_gray8
+        return _fail(EXIT_INPUT, exc)
+    # The patient folder is replaced whole, so it must be a plain child of
+    # --out and must not hold the series being read.
+    out_root = Path(args.out)
+    patient_dir = out_root / series.patient_id
+    if series.patient_id in ("", ".", "..") or Path(series.patient_id).name != series.patient_id:
+        return _fail(EXIT_INGEST, f"patient id {series.patient_id!r} cannot name an output folder")
+    series_dir = Path(args.series_dir).resolve()
+    if patient_dir.resolve() in (series_dir, *series_dir.parents):
+        return _fail(EXIT_INPUT, f"output folder {patient_dir} would replace the series in it")
     try:
         model = load_model(args.model)
     except (ModelFormatError, ModelVersionError, OSError) as exc:
@@ -134,35 +150,42 @@ def cmd_analyze(args):
 
     try:
         report, positives = classify_series(series, model, config, workers=config.threads)
-    except SliceError as exc:
+    except _SEGMENT_ERRORS as exc:
         return _fail(EXIT_INGEST, exc)
 
-    out_root = Path(args.out)
-    patient_dir = out_root / series.patient_id
     if patient_dir.exists():
         warnings.warn(f"output folder {patient_dir} exists; contents will be overwritten")
-    patient_dir.mkdir(parents=True, exist_ok=True)
-
-    (patient_dir / "report.json").write_text(report_to_json(report))
-    (patient_dir / "report.txt").write_text(report_to_text(report))
-    for detection in report.positives:
-        overlay = render_overlay(series.slices[detection.slice_index], detection.mask)
-        write_pgm(patient_dir / f"slice_{detection.slice_index:03d}_overlay.pgm", overlay)
-    elapsed = time.perf_counter() - start
-    (patient_dir / "run_meta.json").write_text(
-        json.dumps(
-            {
-                "version": __version__,
-                "finished_at": time.time(),
-                "elapsed_s": elapsed,
-                "n_slices": len(series),
-                "threads": config.threads,
-            },
-            sort_keys=True,
-            indent=2,
+    # Build the folder beside its final place and rename it in, so it never
+    # mixes files of this run with those of an earlier one.
+    staging = out_root / f".{series.patient_id}.partial-{os.getpid()}"
+    shutil.rmtree(staging, ignore_errors=True)
+    staging.mkdir(parents=True)
+    try:
+        (staging / "report.json").write_text(report_to_json(report))
+        (staging / "report.txt").write_text(report_to_text(report))
+        for detection in report.positives:
+            overlay = render_overlay(series.slices[detection.slice_index], detection.mask)
+            write_pgm(staging / f"slice_{detection.slice_index:03d}_overlay.pgm", overlay)
+        elapsed = time.perf_counter() - start
+        (staging / "run_meta.json").write_text(
+            json.dumps(
+                {
+                    "version": __version__,
+                    "finished_at": time.time(),
+                    "elapsed_s": elapsed,
+                    "n_slices": len(series),
+                    "threads": config.threads,
+                },
+                sort_keys=True,
+                indent=2,
+            )
+            + "\n"
         )
-        + "\n"
-    )
+        if patient_dir.exists():
+            shutil.rmtree(patient_dir)
+        staging.rename(patient_dir)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
     if report.positives:
         slices = sorted({d.slice_index for d in report.positives})
@@ -219,6 +242,8 @@ def cmd_extract_features(args):
         series = _load_series(args, config)
     except _INGEST_ERRORS as exc:
         return _fail(EXIT_INGEST, exc)
+    except ValueError as exc:  # the config's display window, rejected by to_gray8
+        return _fail(EXIT_INPUT, exc)
 
     positive_slices = None
     if args.labels:
@@ -230,7 +255,7 @@ def cmd_extract_features(args):
 
     try:
         per_slice = segment_series(series.slices, config, workers=config.threads)
-    except SliceError as exc:
+    except _SEGMENT_ERRORS as exc:
         return _fail(EXIT_INGEST, exc)
     rows = []
     for slice_index, candidates in enumerate(per_slice):

@@ -33,31 +33,6 @@ class RegionFeatures:
         )
 
 
-def region_size(region) -> int:
-    """Number of non-zero pixels."""
-    return int(np.count_nonzero(as_gray_image(region, "region")))
-
-
-def mean_intensity(region) -> float:
-    """Sum of non-zero intensities divided by the non-zero pixel count."""
-    region = as_gray_image(region, "region")
-    size = np.count_nonzero(region)
-    if size == 0:
-        raise EmptyRegionError("region has no non-zero pixel")
-    return float(region.sum(dtype=np.int64)) / float(size)
-
-
-def center_pixel(region):
-    """Midpoint of the bounding-box extremities, integer-truncated: (x, y)."""
-    region = as_gray_image(region, "region")
-    ys, xs = np.nonzero(region)
-    if xs.size == 0:
-        raise EmptyRegionError("region has no non-zero pixel")
-    x = (int(xs.min()) + int(xs.max())) // 2
-    y = (int(ys.min()) + int(ys.max())) // 2
-    return (x, y)
-
-
 def center_distance(center, image_width) -> float:
     """Horizontal distance from the center pixel to the vertical midline."""
     x = center[0]
@@ -67,7 +42,12 @@ def center_distance(center, image_width) -> float:
 
 
 def feature_vector(region) -> RegionFeatures:
-    """All three features of one extracted region (full-size image expected)."""
+    """All three features of one extracted region (full-size image expected).
+
+    Size is the non-zero pixel count and the mean intensity is taken over
+    those pixels; the center is the integer-truncated midpoint (x, y) of
+    their bounding-box extremities.
+    """
     region = as_gray_image(region, "region")
     ys, xs = np.nonzero(region)
     if xs.size == 0:

@@ -83,51 +83,37 @@ def otsu_threshold(img) -> int:
     return best_t
 
 
-def compute_markers(pre, disk_radius=DEFAULTS.disk_radius, threshold=None) -> MarkerSet:
+def compute_markers(pre, disk_radius=DEFAULTS.disk_radius) -> MarkerSet:
     """Derive watershed markers from a preprocessed slice.
 
     Opening- then closing-by-reconstruction with a disk flattens texture
     inside bright and dark structures; the regional maxima of that image
-    above a threshold are foreground markers, while sub-threshold maxima
-    plus the eroded dark area form the background markers. An empty
-    foreground is a legal result meaning "no candidate on this slice".
+    at or above its Otsu threshold are foreground markers, while the
+    maxima below it plus the eroded dark area form the background
+    markers. An empty foreground is a legal result meaning "no candidate
+    on this slice".
 
-    ``threshold`` swaps the bright/dark split strategy: pass an integer
-    or a callable mapping the smoothed image to one; default is Otsu.
+    Every 8-connected component of regional maxima is a plateau of one
+    value, so it lies wholly on one side of the threshold and the
+    pixel-wise split already separates whole components.
     """
     pre = as_gray_image(pre)
     se = make_disk(disk_radius)
     smooth = close_by_reconstruction(open_by_reconstruction(pre, se), se)
     maxima = regional_maxima(smooth, connectivity=8)
-    if threshold is None:
-        t = otsu_threshold(smooth)
-    elif callable(threshold):
-        t = int(threshold(smooth))
-    else:
-        t = int(threshold)
-    bright = smooth >= t
-
+    bright = smooth >= otsu_threshold(smooth)
     foreground = maxima & bright
-
-    labels, n = ndimage.label(maxima, structure=_FULL)
-    dark_maxima = np.zeros_like(maxima)
-    if n:
-        # A regional maximum is a plateau, so one sample decides the component.
-        comp_bright = ndimage.maximum(bright, labels, index=np.arange(1, n + 1))
-        dark_ids = np.flatnonzero(~comp_bright.astype(bool)) + 1
-        if dark_ids.size:
-            dark_maxima = np.isin(labels, dark_ids)
-    background = (dark_maxima | erode_mask(~bright, make_disk(BORDER_EROSION_RADIUS))) & ~foreground
+    background = (maxima & ~bright) | erode_mask(~bright, make_disk(BORDER_EROSION_RADIUS))
     return MarkerSet(foreground=foreground, background=background)
 
 
 def _seed_labels(markers: MarkerSet):
     """Label marker components: foreground first, then background, 4-connected."""
     fg_labels, n_fg = ndimage.label(markers.foreground, structure=_CROSS)
-    bg_labels, n_bg = ndimage.label(markers.background, structure=_CROSS)
+    bg_labels, _ = ndimage.label(markers.background, structure=_CROSS)
     seeds = fg_labels.astype(np.int32)
     np.add(seeds, np.where(bg_labels > 0, bg_labels + n_fg, 0).astype(np.int32), out=seeds)
-    return seeds, n_fg, n_bg
+    return seeds
 
 
 def _flood(values, seeds):
@@ -136,16 +122,20 @@ def _flood(values, seeds):
     Pops in increasing pixel value; insertion order breaks ties (FIFO).
     A popped pixel adopting two different neighbor labels becomes ridge
     (0) and does not propagate. Pockets sealed off entirely by ridge
-    pixels - possible only in degenerate marker geometries - are resolved
-    by continuation passes and default to ridge if no basin can reach them.
+    pixels - possible only in degenerate marker geometries - are never
+    popped and become ridge too, because no basin could claim them: every
+    pushed pixel has a labelled 4-neighbor, so it joins a basin unless two
+    meet there, and a pixel that joins pushes all its unassigned
+    4-neighbors. A pocket pixel thus has only ridge and pocket pixels as
+    4-neighbors.
     """
     h, w = values.shape
     wp = w + 2
     val = np.pad(values.astype(np.int32), 1).ravel().tolist()
     lab_arr = np.pad(seeds, 1, constant_values=-2)
-    interior = lab_arr[1:-1, 1:-1]
-    remaining = int(np.count_nonzero(interior == 0))
-    interior[interior == 0] = -1
+    unassigned = lab_arr == 0
+    frontier = unassigned & ndimage.binary_dilation(lab_arr > 0, structure=_CROSS)
+    lab_arr[unassigned] = -1
     lab = lab_arr.ravel().tolist()
 
     offsets = (-wp, -1, 1, wp)
@@ -154,55 +144,33 @@ def _flood(values, seeds):
     pop = heapq.heappop
     queued = bytearray(len(lab))
     seq = 0
-
-    def enqueue_frontier(adjacency):
-        nonlocal seq
-        grid = np.array(lab, dtype=np.int32).reshape(h + 2, wp)
-        assigned = grid >= 0
-        frontier = (grid == -1) & ndimage.binary_dilation(assigned, structure=adjacency)
-        for idx in np.flatnonzero(frontier.ravel()).tolist():
-            if not queued[idx]:
-                queued[idx] = 1
-                push(heap, (val[idx], seq, idx))
+    for idx in np.flatnonzero(frontier.ravel()).tolist():
+        queued[idx] = 1
+        push(heap, (val[idx], seq, idx))
+        seq += 1
+    while heap:
+        _, _, idx = pop(heap)
+        first = 0
+        conflict = False
+        for off in offsets:
+            neighbor = lab[idx + off]
+            if neighbor > 0:
+                if first == 0:
+                    first = neighbor
+                elif neighbor != first:
+                    conflict = True
+        if conflict:
+            lab[idx] = 0
+            continue
+        lab[idx] = first
+        for off in offsets:
+            n = idx + off
+            if lab[n] == -1 and not queued[n]:
+                queued[n] = 1
+                push(heap, (val[n], seq, n))
                 seq += 1
-
-    def drain(allow_orphan):
-        nonlocal seq, remaining
-        while heap:
-            _, _, idx = pop(heap)
-            first = 0
-            conflict = False
-            for off in offsets:
-                neighbor = lab[idx + off]
-                if neighbor > 0:
-                    if first == 0:
-                        first = neighbor
-                    elif neighbor != first:
-                        conflict = True
-            lab[idx] = 0 if (conflict or first == 0) else first
-            remaining -= 1
-            if conflict and not allow_orphan:
-                continue  # ridge does not propagate in the main pass
-            for off in offsets:
-                n = idx + off
-                if lab[n] == -1 and not queued[n]:
-                    queued[n] = 1
-                    push(heap, (val[n], seq, n))
-                    seq += 1
-
-    enqueue_frontier(_CROSS)
-    drain(allow_orphan=False)
-
-    # Continuation for sealed pockets: seed from anything already assigned
-    # (ridge included), 8-connected so diagonal-only necks are crossed too.
-    while remaining > 0:
-        before = remaining
-        enqueue_frontier(_FULL)
-        drain(allow_orphan=True)
-        if remaining == before:
-            break  # pixels unreachable even 8-connectedly cannot exist
     out = np.array(lab, dtype=np.int32).reshape(h + 2, wp)[1:-1, 1:-1]
-    return np.ascontiguousarray(out)
+    return np.maximum(out, 0)  # unpopped pocket pixels (-1) become ridge
 
 
 def watershed(img, markers: MarkerSet):
@@ -218,7 +186,7 @@ def watershed(img, markers: MarkerSet):
     if not markers.any():
         raise NoMarkerError("both marker masks are empty")
     relief = impose_minima(img, markers.foreground | markers.background)
-    seeds, _, _ = _seed_labels(markers)
+    seeds = _seed_labels(markers)
     return _flood(relief, seeds)
 
 

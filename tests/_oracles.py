@@ -9,6 +9,16 @@ pure-python recursion vs. vectorized split scoring).
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy import ndimage
+
+from lungct.morphology import (
+    close_by_reconstruction,
+    erode_mask,
+    make_disk,
+    open_by_reconstruction,
+    regional_maxima,
+)
+from lungct.watershed import BORDER_EROSION_RADIUS, otsu_threshold
 
 _OFFS8 = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx]
 _OFFS4 = [(-1, 0), (0, -1), (0, 1), (1, 0)]
@@ -157,6 +167,32 @@ def plateau_regional_maxima(img, connectivity=8):
 def plateau_regional_minima(img, connectivity=8):
     img = np.asarray(img, dtype=np.int64)
     return plateau_regional_maxima(-img, connectivity)
+
+
+# --- watershed markers ----------------------------------------------------------
+
+def markers_by_component(pre, disk_radius):
+    """Watershed markers with the bright/dark split decided per maxima component.
+
+    The smoothing, maxima, threshold and erosion come from the package (their
+    own oracles check them); each 8-connected regional-maximum component with
+    no pixel at or above the threshold is labelled and classed as dark as a
+    whole. Returns ``(foreground, background)``.
+    """
+    se = make_disk(disk_radius)
+    smooth = close_by_reconstruction(open_by_reconstruction(pre, se), se)
+    maxima = regional_maxima(smooth, connectivity=8)
+    bright = smooth >= otsu_threshold(smooth)
+    foreground = maxima & bright
+    labels, n = ndimage.label(maxima, structure=np.ones((3, 3), dtype=bool))
+    dark_maxima = np.zeros_like(maxima)
+    if n:
+        comp_bright = ndimage.maximum(bright, labels, index=np.arange(1, n + 1))
+        dark_ids = np.flatnonzero(~comp_bright.astype(bool)) + 1
+        if dark_ids.size:
+            dark_maxima = np.isin(labels, dark_ids)
+    eroded_dark = erode_mask(~bright, make_disk(BORDER_EROSION_RADIUS))
+    return foreground, (dark_maxima | eroded_dark) & ~foreground
 
 
 # --- reference tree learner ------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from lungct.phantom import make_feature_corpus, make_phantom_series, write_serie
 from lungct.pipeline import segment_series
 from lungct.preprocess import SlicePreprocessor, preprocess_slice
 from lungct.watershed import compute_markers
+
+from _dicom_fixture import build_dicom
 
 SERIES_KW = dict(n_slices=6, size=512, tumour_slices=(2, 3), distractor_slices=(4,), seed=21)
 
@@ -110,6 +113,41 @@ def test_analyze_overwrites_existing_folder_with_warning(phantom_dir, model_file
         code = main(["analyze", str(series_dir), "--model", str(model_file), "--out", str(out)])
     assert code == 0
     assert (out / "PH001" / "report.json").read_text() != "old"
+
+
+def test_analyze_replaces_stale_overlays(phantom_dir, model_file, tmp_path):
+    series_dir, truth = phantom_dir
+    stale = tmp_path / "PH001" / "slice_099_overlay.pgm"
+    stale.parent.mkdir()
+    stale.write_bytes(b"P5 1 1 255 x")
+    with pytest.warns(UserWarning, match="overwritten"):
+        code = main(["analyze", str(series_dir), "--model", str(model_file), "--out", str(tmp_path)])
+    assert code == 0
+    assert not stale.exists()
+    overlays = sorted(p.name for p in stale.parent.glob("slice_*_overlay.pgm"))
+    assert overlays == [f"slice_{i:03d}_overlay.pgm" for i in truth["tumour_slices"]]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["PH001"]  # no staging folder left
+
+
+def test_analyze_refuses_to_replace_its_own_series(model_file, tmp_path, capsys):
+    series_dir = tmp_path / "PH003"
+    slices, _ = make_phantom_series(n_slices=2, size=64, seed=3)
+    write_series_pgm(series_dir, slices)
+    before = sorted(p.name for p in series_dir.iterdir())
+    for out in (tmp_path, tmp_path / "PH003" / ".."):
+        assert main(["analyze", str(series_dir), "--model", str(model_file), "--out", str(out)]) == 4
+        assert "would replace the series" in capsys.readouterr().err
+    assert sorted(p.name for p in series_dir.iterdir()) == before
+
+
+def test_analyze_rejects_patient_id_that_is_not_a_folder_name(model_file, tmp_path, capsys):
+    series_dir = tmp_path / "in" / "DCM"
+    series_dir.mkdir(parents=True)
+    (series_dir / "1.dcm").write_bytes(build_dicom(patient_id="../escape"))
+    out = tmp_path / "in" / "out"
+    assert main(["analyze", str(series_dir), "--model", str(model_file), "--out", str(out)]) == 2
+    assert "cannot name an output folder" in capsys.readouterr().err
+    assert sorted(p.name for p in (tmp_path / "in").iterdir()) == ["DCM"]
 
 
 def test_analyze_missing_series_exits_2(model_file, tmp_path):
@@ -247,6 +285,38 @@ def test_slice_failure_exits_2(monkeypatch, phantom_dir, model_file, tmp_path, c
     assert "slice 0: kernel exploded" in capsys.readouterr().err
     assert main(["extract-features", str(series_dir), "--out", str(tmp_path / "f.csv")]) == 2
     assert "slice 0: kernel exploded" in capsys.readouterr().err
+
+
+def _exit_in_worker(payload):
+    os._exit(1)
+
+
+def test_dead_worker_exits_2(monkeypatch, phantom_dir, model_file, tmp_path, capsys):
+    import lungct.pipeline as pipeline
+
+    monkeypatch.setattr(pipeline, "_slice_task", _exit_in_worker)
+    series_dir, _ = phantom_dir
+    for command in (
+        ["analyze", str(series_dir), "--model", str(model_file), "--out", str(tmp_path)],
+        ["extract-features", str(series_dir), "--out", str(tmp_path / "f.csv")],
+    ):
+        assert main(command + ["--threads", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "PH001").exists()
+
+
+def test_zero_window_width_on_dicom_exits_4(model_file, tmp_path, capsys):
+    series_dir = tmp_path / "DCM"
+    series_dir.mkdir()
+    for instance in (1, 2):
+        (series_dir / f"{instance}.dcm").write_bytes(build_dicom(instance=instance))
+    for command in (
+        ["analyze", str(series_dir), "--model", str(model_file), "--out", str(tmp_path / "out")],
+        ["extract-features", str(series_dir), "--out", str(tmp_path / "f.csv")],
+    ):
+        assert main(command + ["--window-width", "0"]) == 4
+        assert "window width must be positive" in capsys.readouterr().err
 
 
 def test_parse_labels_file(tmp_path):

@@ -7,73 +7,72 @@ from lungct.errors import EmptyRegionError
 from lungct.features import (
     CSV_HEADER,
     center_distance,
-    center_pixel,
     feature_vector,
-    mean_intensity,
     read_feature_csv,
-    region_size,
     write_feature_csv,
 )
 
 
 def test_region_size_all_zero():
-    assert region_size(np.zeros((6, 6), dtype=np.uint8)) == 0
+    # an all-zero region has no size to measure: it is rejected, not sized 0
+    with pytest.raises(EmptyRegionError):
+        feature_vector(np.zeros((6, 6), dtype=np.uint8))
 
 
 def test_region_size_counts_nonzero():
     img = np.zeros((5, 5), dtype=np.uint8)
     img.ravel()[[1, 3, 7, 9, 13, 17, 21]] = 50
-    assert region_size(img) == 7
+    assert feature_vector(img).size_px == 7
 
 
 def test_region_size_matches_loop_oracle(rng):
     img = rng.integers(0, 4, (12, 12)).astype(np.uint8)
     count = sum(1 for v in img.ravel() if v > 0)
-    assert region_size(img) == count
+    assert feature_vector(img).size_px == count
 
 
 def test_mean_two_pixels():
     img = np.zeros((3, 3), dtype=np.uint8)
     img[0, 0] = 100
     img[2, 2] = 120
-    assert mean_intensity(img) == 110.0
+    assert feature_vector(img).mean_intensity == 110.0
 
 
 def test_mean_single_pixel():
     img = np.zeros((2, 2), dtype=np.uint8)
     img[1, 0] = 115
-    assert mean_intensity(img) == 115.0
+    assert feature_vector(img).mean_intensity == 115.0
 
 
 def test_mean_empty_region_rejected():
     with pytest.raises(EmptyRegionError):
-        mean_intensity(np.zeros((4, 4), dtype=np.uint8))
+        feature_vector(np.zeros((4, 4), dtype=np.uint8))
 
 
 def test_mean_matches_oracle(rng):
     img = rng.integers(0, 256, (10, 10)).astype(np.uint8)
     nz = [int(v) for v in img.ravel() if v > 0]
-    assert mean_intensity(img) == pytest.approx(sum(nz) / len(nz))
+    assert feature_vector(img).mean_intensity == pytest.approx(sum(nz) / len(nz))
 
 
 def test_center_pixel_bbox_midpoint():
     img = np.zeros((50, 50), dtype=np.uint8)
     img[30, 10] = 1
     img[40, 20] = 1
-    assert center_pixel(img) == (15, 35)
+    assert feature_vector(img).center == (15, 35)
 
 
 def test_center_pixel_single():
     img = np.zeros((20, 20), dtype=np.uint8)
     img[9, 7] = 5
-    assert center_pixel(img) == (7, 9)
+    assert feature_vector(img).center == (7, 9)
 
 
 def test_center_pixel_truncates():
     img = np.zeros((4, 4), dtype=np.uint8)
     img[0, 0] = 1
     img[0, 3] = 1
-    assert center_pixel(img)[0] == 1  # (0 + 3) // 2
+    assert feature_vector(img).center[0] == 1  # (0 + 3) // 2
 
 
 def test_center_distance_examples():
@@ -117,18 +116,6 @@ def test_feature_vector_empty_rejected():
         feature_vector(np.zeros((4, 4), dtype=np.uint8))
 
 
-def test_feature_vector_matches_individual_functions(rng):
-    img = np.zeros((64, 64), dtype=np.uint8)
-    spots = rng.integers(5, 59, (10, 2))
-    for y, x in spots:
-        img[y, x] = rng.integers(1, 256)
-    f = feature_vector(img)
-    assert f.size_px == region_size(img)
-    assert f.mean_intensity == mean_intensity(img)
-    assert f.center == center_pixel(img)
-    assert f.center_distance_px == center_distance(center_pixel(img), 64)
-
-
 def test_translation_properties():
     base = np.zeros((64, 64), dtype=np.uint8)
     base[20:24, 30:35] = 100
@@ -144,7 +131,7 @@ def test_intensity_scaling_keeps_size(rng):
     img = np.zeros((32, 32), dtype=np.uint8)
     img[4:12, 4:12] = rng.integers(40, 100, (8, 8))
     doubled = np.clip(img.astype(int) * 2, 0, 255).astype(np.uint8)
-    assert region_size(doubled) == region_size(img)
+    assert feature_vector(doubled).size_px == feature_vector(img).size_px
 
 
 def test_csv_roundtrip(tmp_path):

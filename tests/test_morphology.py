@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from lungct.errors import EmptyMarkerError, ShapeError
 from lungct.morphology import (
@@ -269,6 +270,20 @@ def test_regional_maxima_connectivity_four(rng):
     assert np.array_equal(
         regional_maxima(img, connectivity=4), plateau_regional_maxima(img, connectivity=4)
     )
+
+
+def test_regional_maxima_components_are_plateaus(rng):
+    # Every 8-connected component of the maxima is constant-valued, raw or
+    # after the disk smoothing the marker step applies first.
+    se = make_disk(2)
+    for i in range(60):
+        img = rng.integers(0, (4, 16, 256)[i % 3], (24, 24)).astype(np.uint8)
+        if i % 2:
+            img = close_by_reconstruction(open_by_reconstruction(img, se), se)
+        maxima = regional_maxima(img)
+        labels, n = ndimage.label(maxima, structure=np.ones((3, 3), dtype=bool))
+        index = np.arange(1, n + 1)
+        assert np.array_equal(ndimage.minimum(img, labels, index), ndimage.maximum(img, labels, index))
 
 
 @pytest.mark.parametrize("op", [

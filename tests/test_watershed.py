@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from lungct.config import DEFAULTS
 from lungct.errors import NoMarkerError, ShapeError
+from lungct.phantom import make_phantom_series
+from lungct.preprocess import preprocess_slice
 from lungct.watershed import (
     MarkerSet,
     candidate_masks,
@@ -13,6 +16,8 @@ from lungct.watershed import (
     otsu_threshold,
     watershed,
 )
+
+from _oracles import markers_by_component
 
 CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -85,13 +90,37 @@ def test_markers_two_blobs():
     assert n == 2
 
 
-def test_markers_threshold_strategy_swappable():
-    img = _phantom_blob()
-    fixed = compute_markers(img, threshold=100)
-    from_callable = compute_markers(img, threshold=lambda smooth: 100)
-    assert np.array_equal(fixed.foreground, from_callable.foreground)
-    assert np.array_equal(fixed.background, from_callable.background)
-    assert fixed.foreground.any()
+def _random_gray(rng):
+    """Noise or blocky plateaus, so maxima come both as points and as flat areas."""
+    h, w = rng.integers(8, 41, 2)
+    if rng.uniform() < 0.5:
+        return rng.integers(0, 256, (h, w)).astype(np.uint8)
+    levels = int(rng.choice([3, 8, 256]))
+    coarse = rng.integers(0, levels, ((h + 3) // 4, (w + 3) // 4))
+    return (np.kron(coarse, np.ones((4, 4), int))[:h, :w] * (255 // (levels - 1))).astype(np.uint8)
+
+
+def test_markers_match_per_component_reference(rng):
+    for i in range(210):
+        img = _random_gray(rng)
+        radius = 1 + i % 3
+        markers = compute_markers(img, disk_radius=radius)
+        foreground, background = markers_by_component(img, radius)
+        assert np.array_equal(markers.foreground, foreground)
+        assert np.array_equal(markers.background, background)
+
+
+def test_markers_match_per_component_reference_on_phantom_slices():
+    slices, _ = make_phantom_series(
+        n_slices=3, size=512, tumour_slices=(1,), distractor_slices=(2,), seed=8
+    )
+    for original in slices:
+        pre = preprocess_slice(original)
+        markers = compute_markers(pre)
+        foreground, background = markers_by_component(pre, DEFAULTS.disk_radius)
+        assert markers.foreground.any()
+        assert np.array_equal(markers.foreground, foreground)
+        assert np.array_equal(markers.background, background)
 
 
 def test_marker_set_rejects_overlap():
@@ -139,6 +168,26 @@ def test_watershed_ridge_encloses_blob():
     border = np.zeros_like(basin)
     border[0, :] = border[-1, :] = border[:, 0] = border[:, -1] = True
     assert not (reach & border).any()
+
+
+def test_watershed_sealed_pocket_becomes_ridge():
+    # The ridge pixels around the centre meet two basins each, so the centre
+    # is never reached from a basin and stays ridge.
+    img = np.array([[5, 3, 8, 2, 6], [1, 9, 4, 7, 3], [6, 2, 9, 5, 8],
+                    [3, 7, 4, 1, 2], [8, 5, 3, 6, 4]], dtype=np.uint8)
+    fg = np.zeros((5, 5), bool)
+    bg = np.zeros((5, 5), bool)
+    fg[1, 1] = fg[3, 3] = True
+    bg[1, 3] = bg[3, 1] = True
+    labels = watershed(img, MarkerSet(fg, bg))
+    assert labels.tolist() == [
+        [1, 1, 0, 3, 3],
+        [1, 1, 0, 3, 3],
+        [0, 0, 0, 0, 0],
+        [4, 4, 0, 2, 2],
+        [4, 4, 4, 0, 2],
+    ]
+    assert labels.dtype == np.int32
 
 
 def test_watershed_deterministic(rng):
