@@ -70,7 +70,7 @@ def _fail(code, message):
 def _add_config_flags(parser):
     for f in fields(PipelineConfig):
         flag = "--" + f.name.replace("_", "-")
-        parser.add_argument(flag, type=type(f.default), default=None,
+        parser.add_argument(flag, type=f.type, default=None,
                             help=f"override config {f.name} (default {f.default})")
 
 
@@ -125,7 +125,7 @@ def parse_labels_file(path):
 def cmd_analyze(args):
     try:
         config = _load_config(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # a bad value, or an unreadable --config file
         return _fail(EXIT_INPUT, exc)
     start = time.perf_counter()
     try:
@@ -203,7 +203,7 @@ def cmd_analyze(args):
 def cmd_train(args):
     try:
         config = _load_config(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # a bad value, or an unreadable --config file
         return _fail(EXIT_INPUT, exc)
     try:
         X, y, patient_ids, _ = read_feature_csv(args.features_csv)
@@ -236,7 +236,7 @@ def cmd_train(args):
 def cmd_extract_features(args):
     try:
         config = _load_config(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # a bad value, or an unreadable --config file
         return _fail(EXIT_INPUT, exc)
     try:
         series = _load_series(args, config)

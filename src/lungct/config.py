@@ -2,8 +2,9 @@
 
 Serialized as plain ``key = value`` lines (``#`` comments allowed) so a
 run's settings diff cleanly. Every field can also be overridden by a CLI
-flag of the same name with dashes. This is the only place a default is
-written: the layers take theirs from :data:`DEFAULTS`.
+flag of the same name with dashes; file and flag values are parsed by the
+field's declared type. This is the only place a default is written: the
+layers take theirs from :data:`DEFAULTS`.
 """
 
 import inspect
@@ -55,10 +56,13 @@ class PipelineConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
+            key, value = key.strip().replace("-", "_"), value.strip()
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _coerce(known[key], value.strip(), key)
+            try:
+                values[key] = known[key](value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: config key {key!r}: cannot parse {value!r}") from exc
         return cls(**values)
 
     def override(self, **updates):
@@ -94,13 +98,3 @@ class PipelineConfig:
 
 
 DEFAULTS = PipelineConfig()
-
-
-def _coerce(annotation, text, key):
-    target = {"float": float, "int": int, "str": str}.get(str(annotation), None)
-    if target is None:
-        target = annotation if callable(annotation) else str
-    try:
-        return target(text)
-    except ValueError as exc:
-        raise ValueError(f"config key {key!r}: cannot parse {text!r}") from exc

@@ -81,6 +81,15 @@ class DecisionTree:
     right: list = field(default_factory=list)
     counts: list = field(default_factory=list)
 
+    def add_node(self, feature=-1, threshold=0.0, left=-1, right=-1, counts=None):
+        """Append a node (a leaf unless ``feature >= 0``) and return its index."""
+        self.feature.append(feature)
+        self.threshold.append(threshold)
+        self.left.append(left)
+        self.right.append(right)
+        self.counts.append(counts)
+        return len(self.feature) - 1
+
     def leaf_vote(self, node):
         n0, n1 = self.counts[node]
         return 1 if n1 > n0 else 0  # tie votes 0
@@ -152,29 +161,16 @@ def train_tree(X, y, min_leaf=DEFAULTS.min_leaf, max_depth=DEFAULTS.max_depth) -
 
     tree = DecisionTree()
 
-    def add_leaf(idx):
-        n1 = int(y[idx].sum())
-        tree.feature.append(-1)
-        tree.threshold.append(0.0)
-        tree.left.append(-1)
-        tree.right.append(-1)
-        tree.counts.append((len(idx) - n1, n1))
-        return len(tree.feature) - 1
-
     def grow(idx, depth):
         ys = y[idx]
-        if depth >= max_depth or len(idx) < 2 * min_leaf or ys.min() == ys.max():
-            return add_leaf(idx)
-        split = _best_split(X[idx], ys, min_leaf)
+        split = None
+        if depth < max_depth and len(idx) >= 2 * min_leaf and ys.min() != ys.max():
+            split = _best_split(X[idx], ys, min_leaf)
         if split is None:
-            return add_leaf(idx)
+            n1 = int(ys.sum())
+            return tree.add_node(counts=(len(idx) - n1, n1))
         f, threshold, left_pos, right_pos = split
-        node = len(tree.feature)
-        tree.feature.append(f)
-        tree.threshold.append(threshold)
-        tree.left.append(-1)
-        tree.right.append(-1)
-        tree.counts.append(None)
+        node = tree.add_node(f, threshold)
         tree.left[node] = grow(idx[left_pos], depth + 1)
         tree.right[node] = grow(idx[right_pos], depth + 1)
         return node
@@ -251,25 +247,22 @@ class BaggedTreesClassifier(ParamsMixin):
 def cross_validate(X, y, k=CV_FOLDS, seed=DEFAULTS.seed, groups=None, **model_params):
     """Deterministic k-fold cross-validation.
 
-    Samples (or whole groups, when ``groups`` is given - e.g. patient ids
-    to keep one patient's slices out of both sides of a fold) are shuffled
-    by the seeded generator and dealt into k near-equal folds. Returns
-    ``{"fold_accuracies": [...], "mean_accuracy": float}``.
+    Whole groups (e.g. patient ids, to keep one patient's slices out of
+    both sides of a fold; each sample is its own group by default) are
+    shuffled by the seeded generator and dealt into k near-equal folds.
+    Returns ``{"fold_accuracies": [...], "mean_accuracy": float}``.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if len(np.unique(y)) < 2:
         raise SingleClassError("cross-validation needs both classes")
-
-    if groups is None:
-        unit_members = [np.array([i]) for i in range(len(y))]
-    else:
-        if len(groups) != len(y):
-            raise LengthMismatchError("groups and labels differ in length")
-        order = {}
-        for i, g in enumerate(groups):
-            order.setdefault(g, []).append(i)
-        unit_members = [np.array(order[g]) for g in sorted(order)]
+    groups = range(len(y)) if groups is None else groups
+    if len(groups) != len(y):
+        raise LengthMismatchError("groups and labels differ in length")
+    order = {}
+    for i, g in enumerate(groups):
+        order.setdefault(g, []).append(i)
+    unit_members = [np.array(order[g]) for g in sorted(order)]
     if k < 2 or k > len(unit_members):
         raise FoldTooSmallError(
             f"k={k} folds need at least k units, got {len(unit_members)}"
@@ -350,63 +343,58 @@ def save_model(model: BaggedTreesClassifier, path):
 
 
 def load_model(path) -> BaggedTreesClassifier:
-    """Read a model written by :func:`save_model`."""
+    """Read a model written by :func:`save_model`.
+
+    Beyond the layout, every tree must be one a prediction can walk: a split
+    node names one of the model's features and both its children come after
+    it in the same tree (``save_model`` writes nodes in preorder).
+    """
     data = Path(path).read_bytes()
-    reader = _ModelReader(data)
-    if reader.take(4) != MODEL_MAGIC:
+    pos = 0
+
+    def take(fmt):
+        nonlocal pos
+        try:
+            values = struct.unpack_from(fmt, data, pos)
+        except struct.error:
+            raise ModelFormatError("model file is truncated") from None
+        pos += struct.calcsize(fmt)
+        return values
+
+    if take("<4s")[0] != MODEL_MAGIC:
         raise ModelFormatError("not a model file (bad magic)")
-    (version,) = struct.unpack("<I", reader.take(4))
+    (version,) = take("<I")
     if version != MODEL_VERSION:
         raise ModelVersionError(f"model format version {version} is not supported")
-    n_trees, seed, min_leaf, max_depth, n_samples, names_len = struct.unpack(
-        "<IqIIIH", reader.take(26)
-    )
-    names = tuple(reader.take(names_len).decode("ascii").split(","))
+    n_trees, seed, min_leaf, max_depth, n_samples, names_len = take("<IqIIIH")
+    if n_trees == 0:
+        raise ModelFormatError("model has zero trees")
+    try:
+        names = tuple(take(f"<{names_len}s")[0].decode("ascii").split(","))
+    except UnicodeDecodeError:
+        raise ModelFormatError("feature names are not ASCII") from None
     model = BaggedTreesClassifier(n_trees=n_trees, seed=seed, min_leaf=min_leaf, max_depth=max_depth)
     trees = []
     for _ in range(n_trees):
-        (n_nodes,) = struct.unpack("<I", reader.take(4))
+        (n_nodes,) = take("<I")
+        if n_nodes == 0:
+            raise ModelFormatError("tree with zero nodes")
         tree = DecisionTree()
-        for _ in range(n_nodes):
-            (kind,) = struct.unpack("<b", reader.take(1))
+        for node in range(n_nodes):
+            (kind,) = take("<b")
             if kind == 0:
-                f, threshold, left, right = struct.unpack("<Bdii", reader.take(17))
-                tree.feature.append(f)
-                tree.threshold.append(threshold)
-                tree.left.append(left)
-                tree.right.append(right)
-                tree.counts.append(None)
+                f, threshold, left, right = take("<Bdii")
+                if f >= len(names) or not (node < left < n_nodes and node < right < n_nodes):
+                    raise ModelFormatError(f"split node {node} has a bad feature or child index")
+                tree.add_node(f, threshold, left, right)
             elif kind == 1:
-                n0, n1 = struct.unpack("<II", reader.take(8))
-                tree.feature.append(-1)
-                tree.threshold.append(0.0)
-                tree.left.append(-1)
-                tree.right.append(-1)
-                tree.counts.append((n0, n1))
+                tree.add_node(counts=take("<II"))
             else:
                 raise ModelFormatError(f"unknown node kind {kind}")
-        if tree.n_nodes == 0:
-            raise ModelFormatError("tree with zero nodes")
         trees.append(tree)
-    if reader.remaining():
+    if pos != len(data):
         raise ModelFormatError("trailing bytes after the last tree")
     model.trees_ = trees
     model.n_samples_ = n_samples
     model.feature_names_ = names
     return model
-
-
-class _ModelReader:
-    def __init__(self, data):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n):
-        if len(self.data) - self.pos < n:
-            raise ModelFormatError("model file is truncated")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def remaining(self):
-        return len(self.data) - self.pos

@@ -107,7 +107,7 @@ def load_series(
 
     DICOM files are windowed to 8-bit via ``to_gray8``. If the directory
     holds no DICOM at all, binary PGM files are accepted as a fallback
-    slice format (ordered by filename, patient id = directory name, with
+    slice format (ordered by filename, patient id = resolved directory name, with
     thickness/spacing from the defaults, typically CLI flags).
 
     Unreadable files are skipped with a warning; an unreadable directory
@@ -143,7 +143,7 @@ def load_series(
             )
         return _series_from_dicoms(dicoms, window)
     if pgms:
-        return _series_from_pgms(directory.name, pgms, default_thickness_mm, default_spacing_mm)
+        return _series_from_pgms(directory.resolve().name, pgms, default_thickness_mm, default_spacing_mm)
     raise EmptySeriesError(f"no readable slices in {directory}")
 
 

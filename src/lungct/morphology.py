@@ -26,7 +26,6 @@ from .validation import as_bool_mask, as_gray_image, require_same_shape
 _LO = np.int32(-(2**30))
 
 _OFFSETS_8 = tuple((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx)
-_OFFSETS_4 = ((-1, 0), (0, -1), (0, 1), (1, 0))
 
 
 @dataclass(frozen=True)
@@ -101,11 +100,8 @@ def close_image(img, se: StructuringElement):
 
 # --- geodesic reconstruction ---------------------------------------------------
 
-def _reconstruct(marker, mask, connectivity):
-    """Iterate geodesic dilation of ``marker`` under ``mask`` to the fixpoint (int32)."""
-    if connectivity not in (4, 8):
-        raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
-    offsets = _OFFSETS_8 if connectivity == 8 else _OFFSETS_4
+def _reconstruct(marker, mask):
+    """Iterate 8-connected geodesic dilation of ``marker`` under ``mask`` to the fixpoint."""
     h, w = marker.shape
     padded = np.full((h + 2, w + 2), _LO, dtype=np.int32)
     inner = padded[1 : 1 + h, 1 : 1 + w]
@@ -114,7 +110,7 @@ def _reconstruct(marker, mask, connectivity):
     while True:
         inner[...] = cur
         np.copyto(buf, cur)
-        for dy, dx in offsets:
+        for dy, dx in _OFFSETS_8:
             np.maximum(buf, padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w], out=buf)
         np.minimum(buf, mask, out=buf)
         if np.array_equal(buf, cur):
@@ -129,7 +125,7 @@ def _marker_and_mask(marker, mask):
     return marker, mask
 
 
-def reconstruct_by_dilation(marker, mask, connectivity=8):
+def reconstruct_by_dilation(marker, mask):
     """Grow ``marker`` under ``mask`` until stable (marker <= mask required).
 
     A marker exceeding the mask anywhere is clamped down with a warning.
@@ -138,47 +134,47 @@ def reconstruct_by_dilation(marker, mask, connectivity=8):
     if np.any(marker > mask):
         warnings.warn("marker exceeds mask; clamping marker to mask", stacklevel=2)
         marker = np.minimum(marker, mask)
-    return _reconstruct(marker, mask, connectivity).astype(np.uint8)
+    return _reconstruct(marker, mask).astype(np.uint8)
 
 
-def reconstruct_by_erosion(marker, mask, connectivity=8):
+def reconstruct_by_erosion(marker, mask):
     """Shrink ``marker`` onto ``mask`` until stable (marker >= mask required)."""
     marker, mask = _marker_and_mask(marker, mask)
     if np.any(marker < mask):
         warnings.warn("marker is below mask; clamping marker to mask", stacklevel=2)
         marker = np.maximum(marker, mask)
-    return (-_reconstruct(-marker, -mask, connectivity)).astype(np.uint8)
+    return (-_reconstruct(-marker, -mask)).astype(np.uint8)
 
 
-def open_by_reconstruction(img, se: StructuringElement, connectivity=8):
+def open_by_reconstruction(img, se: StructuringElement):
     """Erode, then rebuild surviving structures to their exact original shape."""
     arr = _as_int(img)
-    return _reconstruct(_min_filter(arr, se), arr, connectivity).astype(np.uint8)
+    return _reconstruct(_min_filter(arr, se), arr).astype(np.uint8)
 
 
-def close_by_reconstruction(img, se: StructuringElement, connectivity=8):
+def close_by_reconstruction(img, se: StructuringElement):
     """Dilate, then rebuild: dark structures below the disk are filled."""
     arr = _as_int(img)
-    return (-_reconstruct(-_max_filter(arr, se), -arr, connectivity)).astype(np.uint8)
+    return (-_reconstruct(-_max_filter(arr, se), -arr)).astype(np.uint8)
 
 
 # --- regional extrema ------------------------------------------------------------
 
-def _regional_maxima(arr, connectivity):
-    return arr > _reconstruct(arr - 1, arr, connectivity)
+def _regional_maxima(arr):
+    return arr > _reconstruct(arr - 1, arr)
 
 
-def regional_maxima(img, connectivity=8):
+def regional_maxima(img):
     """Mask of connected plateaus with no strictly brighter neighbor."""
-    return _regional_maxima(_as_int(img), connectivity)
+    return _regional_maxima(_as_int(img))
 
 
-def regional_minima(img, connectivity=8):
+def regional_minima(img):
     """Mask of connected plateaus with no strictly darker neighbor."""
-    return _regional_maxima(255 - _as_int(img), connectivity)
+    return _regional_maxima(255 - _as_int(img))
 
 
-def impose_minima(img, markers, connectivity=8):
+def impose_minima(img, markers):
     """Force the image's regional minima to be exactly the marker components.
 
     Marker pixels drop to 0; everywhere else the output stays strictly
@@ -191,7 +187,7 @@ def impose_minima(img, markers, connectivity=8):
     # Reconstruction by erosion of (0 on markers, +inf elsewhere) above
     # min(img + 1, that marker), written as its dual.
     forced = np.where(markers, np.int32(0), _LO)
-    out = -_reconstruct(forced, np.maximum(-arr - 1, forced), connectivity)
+    out = -_reconstruct(forced, np.maximum(-arr - 1, forced))
     return np.clip(out, 0, 255).astype(np.uint8)
 
 

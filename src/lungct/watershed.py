@@ -100,7 +100,7 @@ def compute_markers(pre, disk_radius=DEFAULTS.disk_radius) -> MarkerSet:
     pre = as_gray_image(pre)
     se = make_disk(disk_radius)
     smooth = close_by_reconstruction(open_by_reconstruction(pre, se), se)
-    maxima = regional_maxima(smooth, connectivity=8)
+    maxima = regional_maxima(smooth)
     bright = smooth >= otsu_threshold(smooth)
     foreground = maxima & bright
     background = (maxima & ~bright) | erode_mask(~bright, make_disk(BORDER_EROSION_RADIUS))

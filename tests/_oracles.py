@@ -181,7 +181,7 @@ def markers_by_component(pre, disk_radius):
     """
     se = make_disk(disk_radius)
     smooth = close_by_reconstruction(open_by_reconstruction(pre, se), se)
-    maxima = regional_maxima(smooth, connectivity=8)
+    maxima = regional_maxima(smooth)
     bright = smooth >= otsu_threshold(smooth)
     foreground = maxima & bright
     labels, n = ndimage.label(maxima, structure=np.ones((3, 3), dtype=bool))

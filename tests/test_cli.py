@@ -150,6 +150,16 @@ def test_analyze_rejects_patient_id_that_is_not_a_folder_name(model_file, tmp_pa
     assert sorted(p.name for p in (tmp_path / "in").iterdir()) == ["DCM"]
 
 
+def test_analyze_dot_names_series_after_folder(model_file, tmp_path, monkeypatch, capsys):
+    series_dir = tmp_path / "PH005"
+    slices, _ = make_phantom_series(n_slices=2, size=64, seed=5)
+    write_series_pgm(series_dir, slices)
+    monkeypatch.chdir(series_dir)
+    assert main(["analyze", ".", "--model", str(model_file), "--out", "../out"]) == 0
+    report = json.loads((tmp_path / "out" / "PH005" / "report.json").read_text())
+    assert report["patient_id"] == "PH005"
+
+
 def test_analyze_missing_series_exits_2(model_file, tmp_path):
     assert main(["analyze", str(tmp_path / "nope"), "--model", str(model_file)]) == 2
 
@@ -363,6 +373,20 @@ def test_config_unknown_key_rejected(tmp_path):
     cfg_file.write_text("not_a_key = 1\n")
     with pytest.raises(ValueError):
         PipelineConfig.from_file(cfg_file)
+
+
+def test_missing_config_file_exits_4(phantom_dir, model_file, corpus_csv, tmp_path, capsys):
+    series_dir, _ = phantom_dir
+    for config in (tmp_path / "nonexistent.cfg", tmp_path):  # missing, and a folder
+        for command in (
+            ["analyze", str(series_dir), "--model", str(model_file), "--out", str(tmp_path / "out")],
+            ["train", str(corpus_csv), "--out", str(tmp_path / "m.lctm")],
+            ["extract-features", str(series_dir), "--out", str(tmp_path / "f.csv")],
+        ):
+            assert main(command + ["--config", str(config)]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_text_roundtrip(tmp_path):

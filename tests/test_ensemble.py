@@ -1,5 +1,7 @@
 """Trees, bagging, cross-validation, metrics and model persistence."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -338,14 +340,60 @@ def test_save_load_roundtrip_predictions(tmp_path, rng):
     assert model.predict_confidence(probe).tolist() == loaded.predict_confidence(probe).tolist()
     assert loaded.get_params() == model.get_params()
     assert loaded.n_samples_ == 120
+    again = tmp_path / "again.lctm"
+    save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
-def test_load_truncated_file(tmp_path):
+def _saved_model(tmp_path):
+    """A fitted model's file bytes and the offset of tree 0's first node."""
     X, y = _separable(60)
     path = tmp_path / "model.lctm"
     save_model(BaggedTreesClassifier(seed=0).fit(X, y), path)
     data = path.read_bytes()
-    path.write_bytes(data[: len(data) // 2])
+    names_len = struct.unpack_from("<H", data, 32)[0]
+    return path, bytearray(data), 34 + names_len + 4
+
+
+@pytest.mark.parametrize("part", ["header", "names", "kind", "body"])
+def test_load_truncated_file(tmp_path, part):
+    path, data, first = _saved_model(tmp_path)
+    # Cut inside the fixed header, inside the feature names, just before
+    # tree 0's first kind byte, or inside that node's body.
+    end = {"header": 20, "names": first - 10, "kind": first, "body": first + 6}[part]
+    path.write_bytes(bytes(data[:end]))
+    with pytest.raises(ModelFormatError, match="truncated"):
+        load_model(path)
+
+
+def test_load_zero_trees_rejected(tmp_path):
+    names = b"size_px,mean_intensity,center_distance_px"
+    path = tmp_path / "empty.lctm"
+    path.write_bytes(
+        MODEL_MAGIC + struct.pack("<I", 1) + struct.pack("<IqIIIH", 0, 0, 5, 12, 10, len(names)) + names
+    )
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+def test_load_non_ascii_feature_names_rejected(tmp_path):
+    path, data, _ = _saved_model(tmp_path)
+    data[34] = 0xFF  # first byte of the feature names
+    path.write_bytes(bytes(data))
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+# A field of tree 0's root set to a value no saved model holds: (offset
+# from the node's kind byte, struct format, value).
+@pytest.mark.parametrize("offset, fmt, value", [
+    (1, "<B", 3), (1, "<B", 7), (10, "<i", 0), (14, "<i", 0), (10, "<i", -1), (14, "<i", 10**6),
+], ids=["feature-3", "feature-7", "left-self", "right-self", "left-negative", "right-past-end"])
+def test_load_corrupt_split_node_rejected(tmp_path, offset, fmt, value):
+    path, data, first = _saved_model(tmp_path)
+    assert data[first] == 0  # the root is a split node
+    struct.pack_into(fmt, data, first + offset, value)
+    path.write_bytes(bytes(data))
     with pytest.raises(ModelFormatError):
         load_model(path)
 

@@ -253,7 +253,7 @@ def test_regional_maxima_single_peak():
 
 def test_regional_maxima_column_gradient():
     img = np.tile(np.arange(8, dtype=np.uint8), (5, 1))
-    out = regional_maxima(img, connectivity=8)
+    out = regional_maxima(img)
     expected = np.zeros((5, 8), dtype=bool)
     expected[:, -1] = True
     assert np.array_equal(out, expected)
@@ -263,13 +263,6 @@ def test_regional_maxima_matches_plateau_oracle(rng):
     for _ in range(5):
         img = rng.integers(0, 12, (16, 16)).astype(np.uint8)  # small range -> many plateaus
         assert np.array_equal(regional_maxima(img), plateau_regional_maxima(img))
-
-
-def test_regional_maxima_connectivity_four(rng):
-    img = rng.integers(0, 8, (12, 12)).astype(np.uint8)
-    assert np.array_equal(
-        regional_maxima(img, connectivity=4), plateau_regional_maxima(img, connectivity=4)
-    )
 
 
 def test_regional_maxima_components_are_plateaus(rng):
@@ -284,17 +277,6 @@ def test_regional_maxima_components_are_plateaus(rng):
         labels, n = ndimage.label(maxima, structure=np.ones((3, 3), dtype=bool))
         index = np.arange(1, n + 1)
         assert np.array_equal(ndimage.minimum(img, labels, index), ndimage.maximum(img, labels, index))
-
-
-@pytest.mark.parametrize("op", [
-    lambda img: open_by_reconstruction(img, make_disk(1), connectivity=6),
-    lambda img: close_by_reconstruction(img, make_disk(1), connectivity=6),
-    lambda img: regional_minima(img, connectivity=6),
-    lambda img: reconstruct_by_erosion(img, img, connectivity=6),
-])
-def test_bad_connectivity_rejected(op):
-    with pytest.raises(ValueError, match="connectivity"):
-        op(np.zeros((5, 5), dtype=np.uint8))
 
 
 def test_regional_maxima_invariant_under_constant_shift(rng):
