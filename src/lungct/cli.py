@@ -1,7 +1,8 @@
 """Command-line interface: analyze a series, train, extract features, evaluate.
 
 Exit codes: 0 success, 2 series/ingest errors (a failed slice or a dead
-worker process included), 3 model errors, 4 malformed CSV/labels/config input.
+worker process included), 3 model errors, 4 malformed CSV/labels/config input
+or an unwritable output. ``main`` alone maps failures to these codes.
 """
 
 import argparse
@@ -26,20 +27,7 @@ from .ensemble import (
     load_model,
     save_model,
 )
-from .errors import (
-    EmptySeriesError,
-    FoldTooSmallError,
-    FormatError,
-    LengthMismatchError,
-    MissingTagError,
-    MixedSeriesError,
-    ModelFormatError,
-    ModelVersionError,
-    SeriesShapeError,
-    SingleClassError,
-    SliceError,
-    UnsupportedError,
-)
+from .errors import IngestError, InputError, ModelError
 from .features import read_feature_csv, write_feature_csv
 from .ingest import load_series, write_pgm
 from .pipeline import classify_series, render_overlay, segment_series
@@ -48,18 +36,6 @@ EXIT_OK = 0
 EXIT_INGEST = 2
 EXIT_MODEL = 3
 EXIT_INPUT = 4
-
-_INGEST_ERRORS = (
-    EmptySeriesError,
-    SeriesShapeError,
-    MixedSeriesError,
-    FormatError,
-    UnsupportedError,
-    MissingTagError,
-    OSError,
-)
-# A slice whose analysis raised, or a pool worker that died mid-series.
-_SEGMENT_ERRORS = (SliceError, BrokenProcessPool)
 
 
 def _fail(code, message):
@@ -123,35 +99,20 @@ def parse_labels_file(path):
 # --- subcommands --------------------------------------------------------------
 
 def cmd_analyze(args):
-    try:
-        config = _load_config(args)
-    except (ValueError, OSError) as exc:  # a bad value, or an unreadable --config file
-        return _fail(EXIT_INPUT, exc)
+    config = _load_config(args)
     start = time.perf_counter()
-    try:
-        series = _load_series(args, config)
-    except _INGEST_ERRORS as exc:
-        return _fail(EXIT_INGEST, exc)
-    except ValueError as exc:  # the config's display window, rejected by to_gray8
-        return _fail(EXIT_INPUT, exc)
+    series = _load_series(args, config)
     # The patient folder is replaced whole, so it must be a plain child of
     # --out and must not hold the series being read.
     out_root = Path(args.out)
     patient_dir = out_root / series.patient_id
     if series.patient_id in ("", ".", "..") or Path(series.patient_id).name != series.patient_id:
-        return _fail(EXIT_INGEST, f"patient id {series.patient_id!r} cannot name an output folder")
+        raise IngestError(f"patient id {series.patient_id!r} cannot name an output folder")
     series_dir = Path(args.series_dir).resolve()
     if patient_dir.resolve() in (series_dir, *series_dir.parents):
-        return _fail(EXIT_INPUT, f"output folder {patient_dir} would replace the series in it")
-    try:
-        model = load_model(args.model)
-    except (ModelFormatError, ModelVersionError, OSError) as exc:
-        return _fail(EXIT_MODEL, exc)
-
-    try:
-        report, positives = classify_series(series, model, config, workers=config.threads)
-    except _SEGMENT_ERRORS as exc:
-        return _fail(EXIT_INGEST, exc)
+        raise ValueError(f"output folder {patient_dir} would replace the series in it")
+    model = load_model(args.model)
+    report, _ = classify_series(series, model, config, workers=config.threads)
 
     if patient_dir.exists():
         warnings.warn(f"output folder {patient_dir} exists; contents will be overwritten")
@@ -201,14 +162,8 @@ def cmd_analyze(args):
 
 
 def cmd_train(args):
-    try:
-        config = _load_config(args)
-    except (ValueError, OSError) as exc:  # a bad value, or an unreadable --config file
-        return _fail(EXIT_INPUT, exc)
-    try:
-        X, y, patient_ids, _ = read_feature_csv(args.features_csv)
-    except (ValueError, OSError) as exc:
-        return _fail(EXIT_INPUT, exc)
+    config = _load_config(args)
+    X, y, patient_ids, _ = read_feature_csv(args.features_csv)
 
     labeled = y >= 0
     if not labeled.all():
@@ -217,11 +172,8 @@ def cmd_train(args):
         patient_ids = [p for p, keep in zip(patient_ids, labeled) if keep]
 
     groups = patient_ids if args.cv_split == "patient" else None
-    try:
-        model = BaggedTreesClassifier(**config.classifier_kwargs()).fit(X, y)
-        cv = cross_validate(X, y, k=args.cv_folds, groups=groups, **config.classifier_kwargs())
-    except (SingleClassError, FoldTooSmallError, ValueError) as exc:
-        return _fail(EXIT_INPUT, exc)
+    model = BaggedTreesClassifier(**config.classifier_kwargs()).fit(X, y)
+    cv = cross_validate(X, y, k=args.cv_folds, groups=groups, **config.classifier_kwargs())
 
     save_model(model, args.out)
     print(f"trained {config.n_trees} trees on {len(y)} samples")
@@ -234,29 +186,14 @@ def cmd_train(args):
 
 
 def cmd_extract_features(args):
-    try:
-        config = _load_config(args)
-    except (ValueError, OSError) as exc:  # a bad value, or an unreadable --config file
-        return _fail(EXIT_INPUT, exc)
-    try:
-        series = _load_series(args, config)
-    except _INGEST_ERRORS as exc:
-        return _fail(EXIT_INGEST, exc)
-    except ValueError as exc:  # the config's display window, rejected by to_gray8
-        return _fail(EXIT_INPUT, exc)
+    config = _load_config(args)
+    series = _load_series(args, config)
 
     positive_slices = None
     if args.labels:
-        try:
-            table = parse_labels_file(args.labels)
-        except (ValueError, OSError) as exc:
-            return _fail(EXIT_INPUT, exc)
-        positive_slices = table.get(series.patient_id, set())
+        positive_slices = parse_labels_file(args.labels).get(series.patient_id, set())
 
-    try:
-        per_slice = segment_series(series.slices, config, workers=config.threads)
-    except _SEGMENT_ERRORS as exc:
-        return _fail(EXIT_INGEST, exc)
+    per_slice = segment_series(series.slices, config, workers=config.threads)
     rows = []
     for slice_index, candidates in enumerate(per_slice):
         for cand in candidates:
@@ -278,20 +215,17 @@ def cmd_eval(args):
     import csv
 
     predictions, labels = [], []
-    try:
-        with open(args.predictions_csv, newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row:
-                    continue
-                if lineno == 1 and not row[0].strip().lstrip("-").isdigit():
-                    continue  # optional header
-                if len(row) != 2:
-                    raise ValueError(f"line {lineno}: expected 'prediction,label'")
-                predictions.append(int(row[0]))
-                labels.append(int(row[1]))
-        metrics = evaluate(predictions, labels)
-    except (ValueError, OSError, LengthMismatchError) as exc:
-        return _fail(EXIT_INPUT, exc)
+    with open(args.predictions_csv, newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row:
+                continue
+            if lineno == 1 and not row[0].strip().lstrip("-").isdigit():
+                continue  # optional header
+            if len(row) != 2:
+                raise ValueError(f"line {lineno}: expected 'prediction,label'")
+            predictions.append(int(row[0]))
+            labels.append(int(row[1]))
+    metrics = evaluate(predictions, labels)
 
     tp, fn, fp, tn = metrics["confusion"]
     print(f"N = {len(labels)}")
@@ -347,7 +281,16 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (IngestError, BrokenProcessPool) as exc:  # a worker process that died included
+        return _fail(EXIT_INGEST, exc)
+    except ModelError as exc:
+        return _fail(EXIT_MODEL, exc)
+    except (InputError, ValueError, OSError) as exc:
+        # Values or paths the user gave: the config, a CSV, the labels
+        # file, the display window, --out.
+        return _fail(EXIT_INPUT, exc)
 
 
 if __name__ == "__main__":

@@ -43,6 +43,13 @@ class PipelineConfig:
     # execution
     threads: int = 1
 
+    def __post_init__(self):
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
+        for name in ("slice_thickness_mm", "pixel_spacing_row_mm", "pixel_spacing_col_mm"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+
     @classmethod
     def from_file(cls, path):
         """Parse a key = value config file; unknown keys are an error."""

@@ -349,7 +349,10 @@ def load_model(path) -> BaggedTreesClassifier:
     node names one of the model's features and both its children come after
     it in the same tree (``save_model`` writes nodes in preorder).
     """
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ModelFormatError(f"cannot read model file: {exc}") from exc
     pos = 0
 
     def take(fmt):

@@ -1,21 +1,38 @@
-"""Exception hierarchy shared across the pipeline."""
+"""Exception hierarchy shared across the pipeline.
+
+The CLI maps three families to exit codes: :class:`IngestError` to 2,
+:class:`ModelError` to 3 and :class:`InputError` to 4. The imaging errors
+belong to none; they reach the CLI only wrapped in a :class:`SliceError`.
+"""
 
 
 class LungCtError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class IngestError(LungCtError):
+    """A series could not be read or analysed (exit 2)."""
+
+
+class ModelError(LungCtError):
+    """A model file could not be loaded (exit 3)."""
+
+
+class InputError(LungCtError):
+    """Training or evaluation input the user gave is unusable (exit 4)."""
+
+
 # --- ingest -----------------------------------------------------------------
 
-class FormatError(LungCtError):
+class FormatError(IngestError):
     """Input bytes are not a file of the claimed format."""
 
 
-class UnsupportedError(LungCtError):
+class UnsupportedError(IngestError):
     """The file is well-formed but uses a feature outside the supported subset."""
 
 
-class MissingTagError(LungCtError):
+class MissingTagError(IngestError):
     """A required DICOM tag is absent."""
 
     def __init__(self, tag):
@@ -31,15 +48,15 @@ def _tag_str(tag):
         return repr(tag)
 
 
-class EmptySeriesError(LungCtError):
+class EmptySeriesError(IngestError):
     """No readable slice was found in the series directory."""
 
 
-class SeriesShapeError(LungCtError):
+class SeriesShapeError(IngestError):
     """Slices of one series disagree on dimensions or ordering."""
 
 
-class MixedSeriesError(LungCtError):
+class MixedSeriesError(IngestError):
     """Slices from more than one patient in a single series directory."""
 
 
@@ -61,31 +78,31 @@ class EmptyRegionError(LungCtError):
     """A region operation needs at least one non-zero pixel."""
 
 
-class SliceError(LungCtError, RuntimeError):
+class SliceError(IngestError, RuntimeError):
     """Analysing one slice of a series failed; the message starts with its index."""
 
 
 # --- classifier -------------------------------------------------------------
 
-class EmptyTrainingSetError(LungCtError):
+class EmptyTrainingSetError(InputError):
     """Training was requested on zero samples."""
 
 
-class SingleClassError(LungCtError):
+class SingleClassError(InputError):
     """Training data contains only one class label."""
 
 
-class FoldTooSmallError(LungCtError):
+class FoldTooSmallError(InputError):
     """Cross-validation folds would be empty for the requested k."""
 
 
-class LengthMismatchError(LungCtError):
+class LengthMismatchError(InputError):
     """Prediction and label sequences differ in length."""
 
 
-class ModelFormatError(LungCtError):
+class ModelFormatError(ModelError):
     """Model file is corrupt or not a model file at all."""
 
 
-class ModelVersionError(LungCtError):
+class ModelVersionError(ModelError):
     """Model file was written by an incompatible format version."""

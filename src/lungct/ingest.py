@@ -117,10 +117,18 @@ def load_series(
     if not directory.is_dir():
         raise EmptySeriesError(f"{directory} is not a directory")
 
+    try:
+        paths = sorted(p for p in directory.iterdir() if p.is_file())
+    except OSError as exc:
+        raise EmptySeriesError(f"cannot list {directory}: {exc}") from exc
     dicoms = []
     pgms = []
-    for path in sorted(p for p in directory.iterdir() if p.is_file()):
-        data = path.read_bytes()
+    for path in paths:
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            warnings.warn(f"skipping {path.name}: {exc}", stacklevel=2)
+            continue
         if _looks_like_dicom(data):
             try:
                 dicoms.append((path.name, parse_dicom(data)))

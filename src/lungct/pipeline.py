@@ -2,8 +2,8 @@
 
 One slice flows preprocess -> markers -> watershed -> candidate masks ->
 region extraction -> features. Slices are independent, so a worker pool
-may fan them out; results are reassembled by slice index, making the
-output identical for any worker count.
+may fan them out; results come back in slice order, making the output
+identical for any worker count.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -60,7 +60,7 @@ def analyze_slice(original, config: PipelineConfig, slice_index=0):
 def _slice_task(payload):
     index, original, config = payload
     try:
-        return index, analyze_slice(original, config, slice_index=index)
+        return analyze_slice(original, config, slice_index=index)
     except Exception as exc:
         raise SliceError(f"slice {index}: {exc}") from exc
 
@@ -69,12 +69,9 @@ def segment_series(slices, config: PipelineConfig, workers=DEFAULTS.threads):
     """Candidates for every slice, ordered by slice index."""
     tasks = [(i, np.asarray(img), config) for i, img in enumerate(slices)]
     if workers <= 1:
-        results = [_slice_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_slice_task, tasks))
-    results.sort(key=lambda item: item[0])
-    return [cands for _, cands in results]
+        return [_slice_task(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_slice_task, tasks))
 
 
 def classify_series(series: CtSeries, model, config: PipelineConfig, workers=DEFAULTS.threads):

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from lungct import errors
 from lungct.cli import main, parse_labels_file
 from lungct.config import PipelineConfig
 from lungct.ensemble import BaggedTreesClassifier, cross_validate, save_model, train_tree
@@ -329,6 +330,41 @@ def test_zero_window_width_on_dicom_exits_4(model_file, tmp_path, capsys):
         assert "window width must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{series}", "--model", "{model}", "--out", "{file}/out"],
+    ["train", "{corpus}", "--out", "{file}/m.lctm"],
+    ["extract-features", "{series}", "--out", "{file}/f.csv"],
+    ["train", "{header_only}", "--out", "{tmp}/m.lctm"],
+    ["train", "{unlabeled}", "--out", "{tmp}/m.lctm"],
+    ["analyze", "{series}", "--model", "{model}", "--out", "{tmp}/out", "--slice-thickness-mm", "-1"],
+], ids=["analyze-out-under-file", "train-out-under-file", "extract-features-out-under-file",
+        "train-header-only-csv", "train-unlabeled-csv", "analyze-negative-thickness"])
+def test_unwritable_out_and_unusable_input_exit_4(
+        argv, phantom_dir, model_file, corpus_csv, tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    write_feature_csv(tmp_path / "header_only.csv", [])
+    write_feature_csv(tmp_path / "unlabeled.csv", [("P", i, 100 + i, 50.0, 10.0, -1) for i in range(30)])
+    paths = dict(series=phantom_dir[0], model=model_file, corpus=corpus_csv, file=blocker, tmp=tmp_path,
+                 header_only=tmp_path / "header_only.csv", unlabeled=tmp_path / "unlabeled.csv")
+    assert main([arg.format(**paths) for arg in argv]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_every_error_class_has_one_exit_code_family():
+    families = (errors.IngestError, errors.ModelError, errors.InputError)
+    imaging = {errors.ShapeError, errors.EmptyMarkerError, errors.NoMarkerError, errors.EmptyRegionError}
+    classes = [
+        cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, errors.LungCtError) and cls not in (errors.LungCtError, *families)
+    ]
+    assert imaging <= set(classes)
+    for cls in classes:
+        expected = 0 if cls in imaging else 1
+        assert sum(issubclass(cls, family) for family in families) == expected, cls.__name__
+
+
 def test_parse_labels_file(tmp_path):
     path = tmp_path / "labels.txt"
     path.write_text("# comment\nP1: 1,2,3\nP2:\nP3: 9\n")
@@ -373,6 +409,26 @@ def test_config_unknown_key_rejected(tmp_path):
     cfg_file.write_text("not_a_key = 1\n")
     with pytest.raises(ValueError):
         PipelineConfig.from_file(cfg_file)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("threads", 0), ("threads", -4), ("slice_thickness_mm", 0.0), ("slice_thickness_mm", -1.0),
+    ("pixel_spacing_row_mm", -1.0), ("pixel_spacing_col_mm", 0.0),
+])
+def test_config_rejects_out_of_range_values(field, value, phantom_dir, model_file, tmp_path, capsys):
+    with pytest.raises(ValueError, match=field):
+        PipelineConfig(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        PipelineConfig().override(**{field: value})
+    cfg_file = tmp_path / "pipeline.cfg"
+    cfg_file.write_text(f"{field} = {value}\n")
+    series_dir, _ = phantom_dir
+    out = tmp_path / "out"
+    for extra in (["--config", str(cfg_file)], ["--" + field.replace("_", "-"), str(value)]):
+        assert main(["analyze", str(series_dir), "--model", str(model_file), "--out", str(out), *extra]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_missing_config_file_exits_4(phantom_dir, model_file, corpus_csv, tmp_path, capsys):

@@ -398,6 +398,12 @@ def test_load_corrupt_split_node_rejected(tmp_path, offset, fmt, value):
         load_model(path)
 
 
+def test_load_unreadable_path_is_a_model_format_error(tmp_path):
+    for path in (tmp_path / "missing.lctm", tmp_path):  # missing, and a folder
+        with pytest.raises(ModelFormatError, match="cannot read model file"):
+            load_model(path)
+
+
 def test_load_version_bump(tmp_path):
     X, y = _separable(60)
     path = tmp_path / "model.lctm"

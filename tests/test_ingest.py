@@ -1,5 +1,7 @@
 """Series assembly and the PGM fallback."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,32 @@ def test_non_dicom_file_skipped_with_warning(tmp_path):
     with pytest.warns(UserWarning, match="notes.txt"):
         series = load_series(tmp_path)
     assert len(series) == 2
+
+
+def test_unreadable_file_skipped_with_warning(tmp_path, monkeypatch):
+    _write_slices(tmp_path, [("a.dcm", _slice_kwargs(1)), ("b.dcm", _slice_kwargs(2))])
+    read_bytes = Path.read_bytes
+
+    def refuse_b(path):
+        if path.name == "b.dcm":
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", refuse_b)
+    with pytest.warns(UserWarning, match="b.dcm.*Permission denied"):
+        series = load_series(tmp_path)
+    assert series.instance_numbers == [1]
+
+
+def test_unlistable_directory_rejected(tmp_path, monkeypatch):
+    _write_slices(tmp_path, [("a.dcm", _slice_kwargs(1))])
+
+    def refuse(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(Path, "iterdir", refuse)
+    with pytest.raises(EmptySeriesError, match="Permission denied"):
+        load_series(tmp_path)
 
 
 def test_mixed_patients_rejected(tmp_path):
