@@ -112,16 +112,17 @@ def cmd_analyze(args):
     if patient_dir.resolve() in (series_dir, *series_dir.parents):
         raise ValueError(f"output folder {patient_dir} would replace the series in it")
     model = load_model(args.model)
-    report, _ = classify_series(series, model, config, workers=config.threads)
 
     if patient_dir.exists():
         warnings.warn(f"output folder {patient_dir} exists; contents will be overwritten")
     # Build the folder beside its final place and rename it in, so it never
-    # mixes files of this run with those of an earlier one.
+    # mixes files of this run with those of an earlier one. It is made before
+    # segmenting, so an unwritable --out fails at once.
     staging = out_root / f".{series.patient_id}.partial-{os.getpid()}"
     shutil.rmtree(staging, ignore_errors=True)
     staging.mkdir(parents=True)
     try:
+        report, _ = classify_series(series, model, config, workers=config.threads)
         (staging / "report.json").write_text(report_to_json(report))
         (staging / "report.txt").write_text(report_to_text(report))
         for detection in report.positives:

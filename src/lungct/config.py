@@ -44,11 +44,28 @@ class PipelineConfig:
     threads: int = 1
 
     def __post_init__(self):
+        # Checked here, so a bad file or flag is a config error before any
+        # slice is read; the layers keep their own checks for direct callers.
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
         for name in ("slice_thickness_mm", "pixel_spacing_row_mm", "pixel_spacing_col_mm"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0 <= self.band_lo < self.band_hi <= 255:
+            raise ValueError(
+                f"need 0 <= band_lo < band_hi <= 255, got band_lo {self.band_lo}, band_hi {self.band_hi}")
+        if self.disk_radius < 0:
+            raise ValueError(f"disk_radius must be >= 0, got {self.disk_radius}")
+        for name in ("cleanup_radius_close", "cleanup_radius_open"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 <= self.blackout_fraction < 0.5:
+            raise ValueError(f"blackout_fraction must lie in [0, 0.5), got {self.blackout_fraction}")
+        if not 0 < self.strip_width_fraction <= 0.3:
+            raise ValueError(f"strip_width_fraction must lie in (0, 0.3], got {self.strip_width_fraction}")
+        for name, low in (("n_trees", 1), ("min_leaf", 1), ("max_depth", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
     @classmethod
     def from_file(cls, path):

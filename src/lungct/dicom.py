@@ -140,8 +140,14 @@ def _require(tags, tag):
     return tags[tag]
 
 
-def parse_dicom(data: bytes) -> DicomObject:
+def parse_dicom(
+    data: bytes,
+    default_thickness_mm=DEFAULTS.slice_thickness_mm,
+    default_spacing_mm=(DEFAULTS.pixel_spacing_row_mm, DEFAULTS.pixel_spacing_col_mm),
+) -> DicomObject:
     """Parse one DICOM file image into a :class:`DicomObject`.
+
+    A slice without SliceThickness or PixelSpacing gets the given default.
 
     Raises
     ------
@@ -204,7 +210,7 @@ def parse_dicom(data: bytes) -> DicomObject:
         if thickness <= 0:
             raise FormatError(f"SliceThickness must be positive, got {thickness}")
     else:
-        thickness = DEFAULTS.slice_thickness_mm
+        thickness = float(default_thickness_mm)
         warnings.warn(
             f"SliceThickness missing; assuming {thickness} mm", stacklevel=2
         )
@@ -215,7 +221,7 @@ def parse_dicom(data: bytes) -> DicomObject:
             raise FormatError(f"malformed PixelSpacing {values}")
         spacing = (values[0], values[1])
     else:
-        spacing = (DEFAULTS.pixel_spacing_row_mm, DEFAULTS.pixel_spacing_col_mm)
+        spacing = (float(default_spacing_mm[0]), float(default_spacing_mm[1]))
 
     # PixelRepresentation 1 stores two's complement; 0 (or no tag) unsigned.
     signed = _decode_us(tags.get(TAG_PIXEL_REPRESENTATION, b"\0\0"), TAG_PIXEL_REPRESENTATION)

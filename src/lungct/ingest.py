@@ -107,8 +107,9 @@ def load_series(
 
     DICOM files are windowed to 8-bit via ``to_gray8``. If the directory
     holds no DICOM at all, binary PGM files are accepted as a fallback
-    slice format (ordered by filename, patient id = resolved directory name, with
-    thickness/spacing from the defaults, typically CLI flags).
+    slice format (ordered by filename, patient id = resolved directory name).
+    The default thickness and spacing (typically the config's) stand in for
+    geometry a slice lacks: always for PGM, per missing tag for DICOM.
 
     Unreadable files are skipped with a warning; an unreadable directory
     raises EmptySeriesError.
@@ -131,7 +132,7 @@ def load_series(
             continue
         if _looks_like_dicom(data):
             try:
-                dicoms.append((path.name, parse_dicom(data)))
+                dicoms.append((path.name, parse_dicom(data, default_thickness_mm, default_spacing_mm)))
             except Exception as exc:  # noqa: BLE001 - tolerate junk neighbours
                 warnings.warn(f"skipping {path.name}: {exc}", stacklevel=2)
         elif data.startswith(b"P5"):

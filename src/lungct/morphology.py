@@ -6,18 +6,21 @@ operators treat the image border by shrinking the neighborhood: pixels
 outside the image simply do not participate, no padding value is
 invented.
 
-Only the max side is implemented, on int32: one disk max filter and one
-geodesic-dilation fixpoint loop. Every min-based operator is its exact
-dual, ``min(f) = -max(-f)`` (negate, run the max kernel, negate back),
-so intermediate images may leave [0, 255]. Each public function
-validates and converts its uint8 input once and composes the int32
-kernels, never the public functions.
+Only the max side is implemented, on int32: one disk max filter, one
+separable 3x3 max filter and one geodesic-dilation fixpoint loop built
+on it. Every min-based operator is its exact dual, ``min(f) = -max(-f)``
+(negate, run the max kernel, negate back), so intermediate images may
+leave [0, 255]. Regional maxima take no fixpoint loop: two 3x3 max
+filters and one labelling pass find the plateaus with no brighter
+neighbour. Each public function validates and converts its uint8 input
+once and composes the int32 kernels, never the public functions.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import EmptyMarkerError
 from .validation import as_bool_mask, as_gray_image, require_same_shape
@@ -25,7 +28,7 @@ from .validation import as_bool_mask, as_gray_image, require_same_shape
 # Padding that never wins a max against real (or negated) data.
 _LO = np.int32(-(2**30))
 
-_OFFSETS_8 = tuple((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx)
+_FULL_3X3 = np.ones((3, 3), dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -100,18 +103,29 @@ def close_image(img, se: StructuringElement):
 
 # --- geodesic reconstruction ---------------------------------------------------
 
+def _max3x3(src, out, tmp):
+    """Write into ``out`` the max of ``src`` over each pixel's 3x3 neighbourhood.
+
+    A row pass (left and right neighbours) into ``tmp``, then a column pass
+    on it. Slicing leaves out-of-image pixels out, so the border shrinks.
+    ``out`` and ``tmp`` must not overlap ``src`` or each other.
+    """
+    np.maximum(src[:, 1:], src[:, :-1], out=tmp[:, 1:])
+    tmp[:, 0] = src[:, 0]
+    np.maximum(tmp[:, :-1], src[:, 1:], out=tmp[:, :-1])
+    np.maximum(tmp[1:], tmp[:-1], out=out[1:])
+    out[0] = tmp[0]
+    np.maximum(out[:-1], tmp[1:], out=out[:-1])
+    return out
+
+
 def _reconstruct(marker, mask):
     """Iterate 8-connected geodesic dilation of ``marker`` under ``mask`` to the fixpoint."""
-    h, w = marker.shape
-    padded = np.full((h + 2, w + 2), _LO, dtype=np.int32)
-    inner = padded[1 : 1 + h, 1 : 1 + w]
     cur = marker.copy()
     buf = np.empty_like(cur)
+    tmp = np.empty_like(cur)
     while True:
-        inner[...] = cur
-        np.copyto(buf, cur)
-        for dy, dx in _OFFSETS_8:
-            np.maximum(buf, padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w], out=buf)
+        _max3x3(cur, buf, tmp)
         np.minimum(buf, mask, out=buf)
         if np.array_equal(buf, cur):
             return cur
@@ -161,7 +175,23 @@ def close_by_reconstruction(img, se: StructuringElement):
 # --- regional extrema ------------------------------------------------------------
 
 def _regional_maxima(arr):
-    return arr > _reconstruct(arr - 1, arr)
+    """8-connected plateaus with no strictly higher neighbour (Vincent 1993).
+
+    ``top`` pixels have no strictly higher neighbour. Two adjacent ``top``
+    pixels are equal, so each component of ``top`` lies in one plateau; it
+    is the whole plateau unless one of its pixels touches an equal pixel
+    that is not ``top``. Every neighbour of a ``top`` pixel is at most its
+    value, so that touch shows as the max over the non-``top`` neighbours
+    equalling the pixel.
+    """
+    tmp = np.empty_like(arr)
+    top = _max3x3(arr, np.empty_like(arr), tmp) <= arr
+    lower = np.where(top, _LO, arr)
+    leaks = top & (_max3x3(lower, np.empty_like(arr), tmp) == arr)
+    labels, n = ndimage.label(top, structure=_FULL_3X3)
+    leaky = np.zeros(n + 1, dtype=bool)
+    leaky[labels[leaks]] = True
+    return top & ~leaky[labels]
 
 
 def regional_maxima(img):

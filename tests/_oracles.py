@@ -169,6 +169,27 @@ def plateau_regional_minima(img, connectivity=8):
     return plateau_regional_maxima(-img, connectivity)
 
 
+def reconstruction_regional_maxima(img):
+    """Regional maxima by their reconstruction definition, ``img > R_img(img - 1)``.
+
+    The geodesic dilation iterates a 3x3 ``ndimage.maximum_filter`` (border
+    value below every pixel) under the image until nothing changes; fast
+    enough for full-size slices, unlike the float window oracle.
+    """
+    arr = np.asarray(img, dtype=np.int32)
+    cval = int(arr.min()) - 2
+    cur = arr - 1
+    while True:
+        nxt = np.minimum(ndimage.maximum_filter(cur, size=3, mode="constant", cval=cval), arr)
+        if np.array_equal(nxt, cur):
+            return arr > cur
+        cur = nxt
+
+
+def reconstruction_regional_minima(img):
+    return reconstruction_regional_maxima(255 - np.asarray(img, dtype=np.int32))
+
+
 # --- watershed markers ----------------------------------------------------------
 
 def markers_by_component(pre, disk_radius):

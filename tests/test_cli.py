@@ -352,6 +352,18 @@ def test_unwritable_out_and_unusable_input_exit_4(
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_analyze_unwritable_out_fails_before_segmenting(
+        monkeypatch, phantom_dir, model_file, tmp_path, capsys):
+    calls = []
+    monkeypatch.setattr("lungct.cli.classify_series", lambda *args, **kwargs: calls.append(args))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    series_dir, _ = phantom_dir
+    assert main(["analyze", str(series_dir), "--model", str(model_file), "--out", str(blocker / "o")]) == 4
+    assert calls == []
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_every_error_class_has_one_exit_code_family():
     families = (errors.IngestError, errors.ModelError, errors.InputError)
     imaging = {errors.ShapeError, errors.EmptyMarkerError, errors.NoMarkerError, errors.EmptyRegionError}
@@ -414,6 +426,10 @@ def test_config_unknown_key_rejected(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("threads", 0), ("threads", -4), ("slice_thickness_mm", 0.0), ("slice_thickness_mm", -1.0),
     ("pixel_spacing_row_mm", -1.0), ("pixel_spacing_col_mm", 0.0),
+    ("band_lo", 200), ("band_hi", 100), ("band_lo", -1), ("band_hi", 256), ("disk_radius", -1),
+    ("cleanup_radius_close", 0), ("cleanup_radius_open", -2), ("blackout_fraction", 2.0),
+    ("blackout_fraction", 0.5), ("blackout_fraction", -0.1), ("strip_width_fraction", 0.0),
+    ("strip_width_fraction", 0.4), ("n_trees", 0), ("min_leaf", 0), ("max_depth", -1),
 ])
 def test_config_rejects_out_of_range_values(field, value, phantom_dir, model_file, tmp_path, capsys):
     with pytest.raises(ValueError, match=field):

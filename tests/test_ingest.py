@@ -117,6 +117,16 @@ def test_pgm_series_fallback(tmp_path):
     assert np.array_equal(series.slices[1], imgs[1])
 
 
+def test_missing_dicom_geometry_takes_the_callers_defaults(tmp_path):
+    _write_slices(tmp_path, [
+        (f"{i}.dcm", {**_slice_kwargs(i), "thickness": None, "spacing": None}) for i in (1, 2)
+    ])
+    with pytest.warns(UserWarning, match="assuming 2.5 mm"):
+        series = load_series(tmp_path, default_thickness_mm=2.5, default_spacing_mm=(0.6, 0.7))
+    assert series.slice_thickness_mm == 2.5
+    assert series.pixel_spacing_mm == (0.6, 0.7)
+
+
 def test_pgm_roundtrip(tmp_path, rng):
     img = rng.integers(0, 256, (7, 9)).astype(np.uint8)
     write_pgm(tmp_path / "x.pgm", img)

@@ -19,6 +19,8 @@ from lungct.morphology import (
     regional_maxima,
     regional_minima,
 )
+from lungct.phantom import make_phantom_series
+from lungct.preprocess import preprocess_slice
 
 from _oracles import (
     disk_offsets_bruteforce,
@@ -28,6 +30,8 @@ from _oracles import (
     naive_erode,
     plateau_regional_maxima,
     plateau_regional_minima,
+    reconstruction_regional_maxima,
+    reconstruction_regional_minima,
     window_dilate,
     window_erode,
 )
@@ -177,6 +181,18 @@ def test_reconstruction_bounds_and_stability(rng):
         assert np.array_equal(again, out)
 
 
+@pytest.mark.parametrize("shape", [(7, 23), (23, 7), (1, 15), (15, 1), (2, 9)])
+def test_reconstruction_matches_iterative_oracle_on_non_square_images(shape, rng):
+    for _ in range(4):
+        a = rng.integers(0, 256, shape).astype(np.uint8)
+        b = rng.integers(0, 256, shape).astype(np.uint8)
+        low, high = np.minimum(a, b), np.maximum(a, b)
+        assert np.array_equal(reconstruct_by_dilation(low, a),
+                              iterate_reconstruct_dilation(low, a).astype(np.uint8))
+        assert np.array_equal(reconstruct_by_erosion(high, a),
+                              iterate_reconstruct_erosion(high, a).astype(np.uint8))
+
+
 def test_reconstruction_by_erosion_is_complement_dual(rng):
     for _ in range(3):
         a = rng.integers(0, 256, (12, 12)).astype(np.uint8)
@@ -277,6 +293,80 @@ def test_regional_maxima_components_are_plateaus(rng):
         labels, n = ndimage.label(maxima, structure=np.ones((3, 3), dtype=bool))
         index = np.arange(1, n + 1)
         assert np.array_equal(ndimage.minimum(img, labels, index), ndimage.maximum(img, labels, index))
+
+
+def test_regional_maxima_plateau_with_only_a_diagonal_higher_neighbour():
+    img = np.zeros((6, 6), dtype=np.uint8)
+    img[1:3, 1:3] = 5
+    img[3, 3] = 9  # touches the plateau at (2, 2) only diagonally
+    expected = np.zeros((6, 6), dtype=bool)
+    expected[3, 3] = True
+    assert np.array_equal(regional_maxima(img), expected)
+    assert np.array_equal(regional_maxima(img), plateau_regional_maxima(img))
+
+
+def test_regional_maxima_plateau_along_the_border():
+    img = np.full((5, 7), 3, dtype=np.uint8)
+    img[0, :] = 8
+    img[:, 0] = 8
+    img[2, 3] = 6
+    expected = np.zeros((5, 7), dtype=bool)
+    expected[0, :] = expected[:, 0] = True
+    expected[2, 3] = True
+    assert np.array_equal(regional_maxima(img), expected)
+    img[4, 0] = 9  # a brighter corner pixel drains the whole border plateau
+    expected[0, :] = expected[:, 0] = False
+    expected[4, 0] = True
+    assert np.array_equal(regional_maxima(img), expected)
+
+
+def test_regional_maxima_plateau_top_in_one_part_leaking_in_another():
+    # One 8-connected plateau of 5s: its left block sees no brighter pixel,
+    # its right block, joined only diagonally, touches a 7.
+    img = np.zeros((6, 8), dtype=np.uint8)
+    img[0:2, 0:2] = 5
+    img[2:4, 2:6] = 5
+    img[3, 6] = 7
+    expected = np.zeros((6, 8), dtype=bool)
+    expected[3, 6] = True
+    assert np.array_equal(regional_maxima(img), expected)
+    assert np.array_equal(regional_minima(255 - img), expected)
+    img[3, 6] = 4  # without the 7 the whole plateau is a maximum
+    assert np.array_equal(regional_maxima(img), img == 5)
+
+
+@pytest.mark.parametrize("shape", [(1, 12), (12, 1)])
+def test_regional_extrema_on_single_row_and_column_images(shape, rng):
+    line = np.array([1, 3, 3, 2, 5, 5, 5, 0, 0, 4, 4, 2], dtype=np.uint8).reshape(shape)
+    assert np.flatnonzero(regional_maxima(line)).tolist() == [1, 2, 4, 5, 6, 9, 10]
+    assert np.flatnonzero(regional_minima(line)).tolist() == [0, 3, 7, 8, 11]
+    for _ in range(20):
+        img = rng.integers(0, 4, shape).astype(np.uint8)
+        assert np.array_equal(regional_maxima(img), plateau_regional_maxima(img))
+        assert np.array_equal(regional_minima(img), plateau_regional_minima(img))
+    single = np.full((1, 1), 7, dtype=np.uint8)
+    assert regional_maxima(single).all() and regional_minima(single).all()
+
+
+def test_regional_extrema_match_reconstruction_definition_on_phantom_slices():
+    slices, _ = make_phantom_series(
+        n_slices=3, size=512, tumour_slices=(1,), distractor_slices=(2,), seed=8
+    )
+    se = make_disk(8)
+    for original in slices:
+        smooth = close_by_reconstruction(open_by_reconstruction(preprocess_slice(original), se), se)
+        for img in (original, smooth):
+            maxima = regional_maxima(img)
+            assert maxima.any()
+            assert np.array_equal(maxima, reconstruction_regional_maxima(img))
+            assert np.array_equal(regional_minima(img), reconstruction_regional_minima(img))
+
+
+def test_reconstruction_oracle_agrees_with_plateau_oracle(rng):
+    for i in range(20):
+        img = rng.integers(0, (3, 12, 256)[i % 3], (11, 17)).astype(np.uint8)
+        assert np.array_equal(reconstruction_regional_maxima(img), plateau_regional_maxima(img))
+        assert np.array_equal(reconstruction_regional_minima(img), plateau_regional_minima(img))
 
 
 def test_regional_maxima_invariant_under_constant_shift(rng):
