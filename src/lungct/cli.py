@@ -30,7 +30,6 @@ from .ensemble import (
 from .errors import IngestError, InputError, ModelError
 from .features import read_feature_csv, write_feature_csv
 from .ingest import load_series, write_pgm
-from .pipeline import classify_series, render_overlay, segment_series
 
 EXIT_OK = 0
 EXIT_INGEST = 2
@@ -99,6 +98,8 @@ def parse_labels_file(path):
 # --- subcommands --------------------------------------------------------------
 
 def cmd_analyze(args):
+    from .pipeline import classify_series, render_overlay  # loads scipy; train and eval do not
+
     config = _load_config(args)
     start = time.perf_counter()
     series = _load_series(args, config)
@@ -174,7 +175,8 @@ def cmd_train(args):
 
     groups = patient_ids if args.cv_split == "patient" else None
     model = BaggedTreesClassifier(**config.classifier_kwargs()).fit(X, y)
-    cv = cross_validate(X, y, k=args.cv_folds, groups=groups, **config.classifier_kwargs())
+    cv = cross_validate(X, y, k=args.cv_folds, groups=groups, workers=config.threads,
+                        **config.classifier_kwargs())
 
     save_model(model, args.out)
     print(f"trained {config.n_trees} trees on {len(y)} samples")
@@ -187,6 +189,8 @@ def cmd_train(args):
 
 
 def cmd_extract_features(args):
+    from .pipeline import segment_series
+
     config = _load_config(args)
     series = _load_series(args, config)
 

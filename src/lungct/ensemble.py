@@ -4,9 +4,19 @@ Every stochastic choice (bootstrap resampling, fold shuffling) flows
 through :class:`Xorshift64Star`, so training and cross-validation are
 bit-reproducible across runs and platforms. Split selection compares
 exact integer scores, never floats, so ties are unambiguous.
-"""
 
+Split search works on presorted columns, as SLIQ and SPRINT do (Mehta et
+al. 1996; Shafer et al. 1996): every feature is sorted once per fit, and
+each node holds one row of sample indices per feature, sorted by that
+feature. A node scores every boundary of every feature in one vectorised
+pass, and its children inherit their sorted rows by a stable partition, so
+no node sorts again. A node's split depends only on the multiset of samples
+at it, not on their order, because every split falls between distinct
+values."""
+
+import multiprocessing
 import struct
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,6 +66,25 @@ class Xorshift64Star:
 
     def below(self, n):
         return self.next_u64() % n
+
+    def below_many(self, n, count):
+        """``count`` successive ``below(n)`` draws as one int64 array.
+
+        The recurrence runs on a local variable rather than through
+        ``next_u64``; the draws, and the state left behind, are those of
+        ``count`` calls to ``below(n)``.
+        """
+        x, mask = self.state, _MASK64
+        states = [0] * count
+        for i in range(count):
+            x ^= x >> 12
+            x ^= (x << 25) & mask
+            x ^= x >> 27
+            states[i] = x
+        self.state = x
+        # uint64 products wrap, which is the generator's multiply mod 2**64.
+        out = np.array(states, dtype=np.uint64) * np.uint64(self._MULT)
+        return (out % np.uint64(n)).astype(np.int64)
 
     def uniform(self):
         return self.next_u64() / 2.0**64
@@ -108,75 +137,88 @@ class DecisionTree:
         return len(self.feature)
 
 
-def _best_split(X, y, min_leaf):
-    """Best (feature, threshold) by Gini, or None if no split is allowed.
+def _best_boundary(XT, y, S, n1, min_leaf):
+    """Best ``(feature, boundary, left positives)`` at a node, or None if none is allowed.
 
-    Candidates are midpoints between consecutive distinct sorted values.
-    Minimizing the weighted Gini is equivalent to maximizing the exact
-    integer score ``nr*(c0l^2 + c1l^2) + nl*(c0r^2 + c1r^2)``, which makes
-    tie comparisons unambiguous: ties go to the lowest feature index,
-    then the lowest threshold.
+    ``S`` holds the node's m sample indices once per feature, row f sorted
+    by feature f, and ``n1`` of its samples are positive. Candidates are the
+    boundaries between consecutive distinct values with at least
+    ``min_leaf`` samples on each side; the split after position b sends
+    ``S[f, :b + 1]`` left. Minimizing the weighted Gini is equivalent to
+    maximizing the exact integer score ``nr*(c0l^2 + c1l^2) +
+    nl*(c0r^2 + c1r^2)``, which is positive for every candidate, so ties
+    are unambiguous: they go to the lowest feature index, then the lowest
+    threshold.
     """
-    n = len(y)
-    total1 = int(y.sum())
-    total0 = n - total1
-    best = None  # (score, feature, threshold, sorted_order, left_count)
-    for f in range(X.shape[1]):
-        values = X[:, f]
-        order = np.argsort(values, kind="stable")
-        v = values[order]
-        c1 = np.cumsum(y[order])
-        boundaries = np.flatnonzero(v[:-1] < v[1:])  # split after position i
-        if boundaries.size == 0:
-            continue
-        nl = boundaries + 1
-        nr = n - nl
-        allowed = (nl >= min_leaf) & (nr >= min_leaf)
-        if not allowed.any():
-            continue
-        boundaries, nl, nr = boundaries[allowed], nl[allowed], nr[allowed]
-        c1l = c1[boundaries]
-        c0l = nl - c1l
-        c1r = total1 - c1l
-        c0r = total0 - c0l
-        score = nr * (c0l * c0l + c1l * c1l) + nl * (c0r * c0r + c1r * c1r)
-        j = int(np.argmax(score))  # first max = lowest threshold
-        if best is None or int(score[j]) > best[0]:
-            threshold = (float(v[boundaries[j]]) + float(v[boundaries[j] + 1])) / 2.0
-            best = (int(score[j]), f, threshold, order, int(nl[j]))
-    if best is None:
+    m = S.shape[1]
+    lo, hi = min_leaf - 1, m - min_leaf  # boundaries b in [lo, hi) obey min_leaf
+    rows = np.arange(len(S))
+    V = XT[rows[:, None], S]
+    c1l = np.cumsum(y[S], axis=1)[:, lo:hi]
+    nl = np.arange(lo + 1, hi + 1)
+    nr = m - nl
+    c0l = nl - c1l
+    c1r = n1 - c1l
+    c0r = (m - n1) - c0l
+    score = nr * (c0l * c0l + c1l * c1l) + nl * (c0r * c0r + c1r * c1r)
+    score[V[:, lo:hi] == V[:, lo + 1 : hi + 1]] = -1
+    best = np.argmax(score, axis=1)  # first max = lowest threshold
+    f = int(np.argmax(score[rows, best]))  # first max = lowest feature
+    b = int(best[f])
+    if score[f, b] < 0:
         return None
-    _, f, threshold, order, nl = best
-    return f, threshold, order[:nl], order[nl:]
+    return f, lo + b, int(c1l[f, b])
+
+
+def _grow_tree(XT, y, S, min_leaf, max_depth) -> DecisionTree:
+    """Grow one tree on features ``XT`` (one row per feature) and labels ``y``.
+
+    Row f of ``S`` lists the training samples' indices sorted by feature f.
+    An index may repeat, as a bootstrap repeats it: copies share their
+    values, so they always fall on the same side of a split.
+    """
+    tree = DecisionTree()
+    goes_left = np.zeros(len(y), dtype=bool)
+
+    def grow(S, n1, depth):
+        m = S.shape[1]
+        split = None
+        if depth < max_depth and m >= 2 * min_leaf and 0 < n1 < m:
+            split = _best_boundary(XT, y, S, n1, min_leaf)
+        if split is None:
+            return tree.add_node(counts=(m - n1, n1))
+        f, b, n1_left = split
+        threshold = (float(XT[f, S[f, b]]) + float(XT[f, S[f, b + 1]])) / 2.0
+        # A stable partition of every row keeps each child's rows sorted.
+        goes_left[S[f, : b + 1]] = True
+        G = goes_left[S]
+        goes_left[S[f, : b + 1]] = False
+        left, right = S[G].reshape(len(S), b + 1), S[~G].reshape(len(S), m - b - 1)
+        node = tree.add_node(f, threshold)
+        tree.left[node] = grow(left, n1_left, depth + 1)
+        tree.right[node] = grow(right, n1 - n1_left, depth + 1)
+        return node
+
+    grow(S, int(y[S[0]].sum()), 0)
+    return tree
+
+
+def _training_arrays(X, y):
+    """``X`` and ``y`` as float64 and int64 arrays, checked for shape."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if X.ndim != 2 or X.shape[1] == 0 or len(X) != len(y):
+        raise ValueError("X must be 2-D, with a column per feature and one label per row")
+    return X, y
 
 
 def train_tree(X, y, min_leaf=DEFAULTS.min_leaf, max_depth=DEFAULTS.max_depth) -> DecisionTree:
     """Grow one tree by greedy Gini splits with deterministic tie-breaking."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or len(X) != len(y):
-        raise ValueError("X must be 2-D with one label per row")
+    X, y = _training_arrays(X, y)
     if len(y) == 0:
         raise EmptyTrainingSetError("cannot train a tree on zero samples")
-
-    tree = DecisionTree()
-
-    def grow(idx, depth):
-        ys = y[idx]
-        split = None
-        if depth < max_depth and len(idx) >= 2 * min_leaf and ys.min() != ys.max():
-            split = _best_split(X[idx], ys, min_leaf)
-        if split is None:
-            n1 = int(ys.sum())
-            return tree.add_node(counts=(len(idx) - n1, n1))
-        f, threshold, left_pos, right_pos = split
-        node = tree.add_node(f, threshold)
-        tree.left[node] = grow(idx[left_pos], depth + 1)
-        tree.right[node] = grow(idx[right_pos], depth + 1)
-        return node
-
-    grow(np.arange(len(y)), 0)
-    return tree
+    XT = np.ascontiguousarray(X.T)
+    return _grow_tree(XT, y, np.argsort(XT, axis=1, kind="stable"), min_leaf, max_depth)
 
 
 class BaggedTreesClassifier(ParamsMixin):
@@ -195,10 +237,7 @@ class BaggedTreesClassifier(ParamsMixin):
         self.max_depth = max_depth
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        if X.ndim != 2 or len(X) != len(y):
-            raise ValueError("X must be 2-D with one label per row")
+        X, y = _training_arrays(X, y)
         if len(y) == 0:
             raise EmptyTrainingSetError("cannot fit on zero samples")
         if len(y) < 2 or len(np.unique(y)) < 2:
@@ -212,13 +251,15 @@ class BaggedTreesClassifier(ParamsMixin):
         rng = Xorshift64Star(self.seed)
         # All bootstrap draws happen up front, in a fixed order, so tree
         # training could fan out to workers without changing the result.
-        bootstraps = [
-            np.array([rng.below(n) for _ in range(n)], dtype=np.int64)
-            for _ in range(self.n_trees)
-        ]
-        self.trees_ = [
-            train_tree(X[idx], y[idx], self.min_leaf, self.max_depth) for idx in bootstraps
-        ]
+        bootstraps = rng.below_many(n, self.n_trees * n).reshape(self.n_trees, n)
+        # Sorting once serves every tree: a bootstrap's sorted rows are the
+        # sorted sample indices, each repeated as often as it was drawn.
+        XT = np.ascontiguousarray(X.T)
+        order = np.argsort(XT, axis=1, kind="stable").ravel()
+        self.trees_ = []
+        for idx in bootstraps:
+            S = np.repeat(order, np.bincount(idx, minlength=n)[order]).reshape(len(XT), n)
+            self.trees_.append(_grow_tree(XT, y, S, self.min_leaf, self.max_depth))
         self.n_samples_ = n
         self.feature_names_ = FEATURE_NAMES
         return self
@@ -244,12 +285,22 @@ class BaggedTreesClassifier(ParamsMixin):
         return int(votes * 2 > len(self.trees_)), votes / len(self.trees_)
 
 
-def cross_validate(X, y, k=CV_FOLDS, seed=DEFAULTS.seed, groups=None, **model_params):
+def _fold_accuracy(task):
+    """Held-out accuracy of one cross-validation fold."""
+    X_train, y_train, X_test, y_test, seed, model_params = task
+    model = BaggedTreesClassifier(seed=seed, **model_params).fit(X_train, y_train)
+    return float(np.mean(model.predict(X_test) == y_test))
+
+
+def cross_validate(X, y, k=CV_FOLDS, seed=DEFAULTS.seed, groups=None, workers=DEFAULTS.threads,
+                   **model_params):
     """Deterministic k-fold cross-validation.
 
     Whole groups (e.g. patient ids, to keep one patient's slices out of
     both sides of a fold; each sample is its own group by default) are
     shuffled by the seeded generator and dealt into k near-equal folds.
+    Each fold's model has a seed of its own, so with ``workers > 1`` the
+    folds fit in a process pool and give the same result.
     Returns ``{"fold_accuracies": [...], "mean_accuracy": float}``.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -263,7 +314,9 @@ def cross_validate(X, y, k=CV_FOLDS, seed=DEFAULTS.seed, groups=None, **model_pa
     for i, g in enumerate(groups):
         order.setdefault(g, []).append(i)
     unit_members = [np.array(order[g]) for g in sorted(order)]
-    if k < 2 or k > len(unit_members):
+    if k < 2:
+        raise FoldTooSmallError(f"need at least 2 folds, got {k}")
+    if k > len(unit_members):
         raise FoldTooSmallError(
             f"k={k} folds need at least k units, got {len(unit_members)}"
         )
@@ -271,21 +324,22 @@ def cross_validate(X, y, k=CV_FOLDS, seed=DEFAULTS.seed, groups=None, **model_pa
     rng = Xorshift64Star(seed)
     unit_order = rng.shuffle(list(range(len(unit_members))))
     base, extra = divmod(len(unit_order), k)
-    folds, pos = [], 0
+    tasks, pos = [], 0
     for fold_index in range(k):
         size = base + (1 if fold_index < extra else 0)
-        members = np.concatenate([unit_members[u] for u in unit_order[pos : pos + size]])
-        folds.append(np.sort(members))
+        test_idx = np.sort(np.concatenate([unit_members[u] for u in unit_order[pos : pos + size]]))
         pos += size
-
-    accuracies = []
-    for fold_index, test_idx in enumerate(folds):
         train_mask = np.ones(len(y), dtype=bool)
         train_mask[test_idx] = False
-        model = BaggedTreesClassifier(seed=seed + fold_index + 1, **model_params)
-        model.fit(X[train_mask], y[train_mask])
-        predictions = model.predict(X[test_idx])
-        accuracies.append(float(np.mean(predictions == y[test_idx])))
+        tasks.append((X[train_mask], y[train_mask], X[test_idx], y[test_idx],
+                      seed + fold_index + 1, model_params))
+
+    if workers <= 1:
+        accuracies = [_fold_accuracy(task) for task in tasks]
+    else:
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=min(workers, k), mp_context=spawn) as pool:
+            accuracies = list(pool.map(_fold_accuracy, tasks))
     return {"fold_accuracies": accuracies, "mean_accuracy": float(np.mean(accuracies))}
 
 

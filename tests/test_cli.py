@@ -3,10 +3,14 @@
 import inspect
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lungct
 from lungct import errors
 from lungct.cli import main, parse_labels_file
 from lungct.config import PipelineConfig
@@ -211,6 +215,56 @@ def test_train_single_class_exits_4(tmp_path, capsys):
     assert "class" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("folds", ["1", "0"])
+def test_train_fewer_than_two_folds_exits_4(corpus_csv, tmp_path, capsys, folds):
+    assert main(["train", str(corpus_csv), "--out", str(tmp_path / "m"), "--cv-folds", folds]) == 4
+    assert f"need at least 2 folds, got {folds}" in capsys.readouterr().err
+
+
+def test_train_threads_do_not_change_model_or_cv(corpus_csv, tmp_path, capsys):
+    outputs = []
+    for threads in ("1", "2"):
+        model = tmp_path / f"t{threads}.lctm"
+        assert main(["train", str(corpus_csv), "--out", str(model), "--threads", threads]) == 0
+        cv_line = [line for line in capsys.readouterr().out.splitlines() if "cross-validation" in line]
+        outputs.append((cv_line, model.read_bytes()))
+    assert outputs[0][0] and outputs[0] == outputs[1]
+
+
+def _run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports lungct from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(lungct.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_train_and_eval_never_import_scipy(corpus_csv, tmp_path):
+    predictions = tmp_path / "pred.csv"
+    predictions.write_text("prediction,label\n1,1\n0,1\n0,0\n")
+    result = _run_python(
+        "import sys\n"
+        "from lungct.cli import main\n"
+        "assert main(['train', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "assert main(['eval', sys.argv[3]]) == 0\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n",
+        corpus_csv, tmp_path / "m.lctm", predictions,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_every_public_name_resolves_lazily():
+    result = _run_python(
+        "import sys\n"
+        "import lungct\n"
+        "assert 'scipy' not in sys.modules\n"
+        "from lungct import *\n"
+        "missing = [name for name in lungct.__all__ if name not in globals()]\n"
+        "assert not missing, missing\n"
+        "assert lungct.classify_series is lungct.pipeline.classify_series\n"
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_train_malformed_csv_exits_4(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("this,is,not\nvalid\n")
@@ -355,7 +409,7 @@ def test_unwritable_out_and_unusable_input_exit_4(
 def test_analyze_unwritable_out_fails_before_segmenting(
         monkeypatch, phantom_dir, model_file, tmp_path, capsys):
     calls = []
-    monkeypatch.setattr("lungct.cli.classify_series", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr("lungct.pipeline.classify_series", lambda *args, **kwargs: calls.append(args))
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     series_dir, _ = phantom_dir

@@ -1,5 +1,6 @@
 """Trees, bagging, cross-validation, metrics and model persistence."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -69,6 +70,16 @@ def test_xorshift_zero_seed_usable():
     assert len(values) == 10
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 3000])
+def test_xorshift_below_many_is_the_below_stream(n):
+    one_by_one, batched = Xorshift64Star(42), Xorshift64Star(42)
+    expected = [one_by_one.below(n) for _ in range(500)]
+    draws = batched.below_many(n, 500)
+    assert draws.dtype == np.int64
+    assert draws.tolist() == expected
+    assert batched.state == one_by_one.state
+
+
 def test_xorshift_shuffle_deterministic():
     assert Xorshift64Star(7).shuffle(list(range(10))) == Xorshift64Star(7).shuffle(list(range(10)))
 
@@ -108,6 +119,47 @@ def test_tree_matches_reference_learner(seed):
     tree = train_tree(X, y, min_leaf=3, max_depth=6)
     reference = ReferenceTree(X, y, min_leaf=3, max_depth=6)
     assert tree.predict(X).tolist() == reference.predict(X)
+
+
+def _as_reference_nodes(tree, node=0):
+    """A DecisionTree in ReferenceTree's nested-dict form."""
+    if tree.feature[node] < 0:
+        return {"vote": tree.leaf_vote(node)}
+    return {
+        "feature": tree.feature[node],
+        "threshold": tree.threshold[node],
+        "left": _as_reference_nodes(tree, tree.left[node]),
+        "right": _as_reference_nodes(tree, tree.right[node]),
+    }
+
+
+def _tie_heavy(seed):
+    """Integer features with many duplicates, rows repeated as a bootstrap repeats them."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 6, (40, 3)).astype(np.float64)
+    y = ((X[:, 0] + X[:, 1] > 5) ^ (rng.uniform(size=40) < 0.2)).astype(int)
+    idx = rng.integers(0, 40, 60)
+    return X[idx], y[idx]
+
+
+@pytest.mark.parametrize("max_depth", [0, 2, 12])
+@pytest.mark.parametrize("min_leaf", [1, 7])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_presorted_tree_matches_reference_on_ties(seed, min_leaf, max_depth):
+    X, y = _tie_heavy(seed)
+    tree = train_tree(X, y, min_leaf=min_leaf, max_depth=max_depth)
+    reference = ReferenceTree(X, y, min_leaf=min_leaf, max_depth=max_depth)
+    assert _as_reference_nodes(tree) == reference.root
+
+
+@pytest.mark.parametrize("min_leaf", [1, 7])
+def test_bagged_trees_match_reference_on_their_bootstraps(min_leaf):
+    X, y = _tie_heavy(3)
+    model = BaggedTreesClassifier(n_trees=4, seed=11, min_leaf=min_leaf, max_depth=4).fit(X, y)
+    draws = Xorshift64Star(11).below_many(len(y), 4 * len(y)).reshape(4, len(y))
+    for tree, idx in zip(model.trees_, draws):
+        reference = ReferenceTree(X[idx], y[idx], min_leaf=min_leaf, max_depth=4)
+        assert _as_reference_nodes(tree) == reference.root
 
 
 def test_tree_respects_max_depth():
@@ -160,6 +212,32 @@ def test_bagged_single_tree_equals_bootstrap_tree():
     expected = train_tree(X[idx], y[idx], min_leaf=5, max_depth=12)
     probe = np.random.default_rng(0).uniform(0, 5000, (100, 3))
     assert model.trees_[0].predict(probe).tolist() == expected.predict(probe).tolist()
+
+
+# Recorded from the tree learner that sorted every feature at every node,
+# before split search moved to presorted columns: the model and the CV
+# result must stay byte-identical.
+_CORPUS5_MODEL_SHA256 = "0fa2eedee60c73d1af14934429783bd1afa2ec7ff9c1905fff0a2c7135b337c3"
+_CORPUS5_CV = {
+    "fold_accuracies": [1.0, 1.0, 0.995, 1.0, 1.0, 0.995, 1.0, 1.0, 0.99, 1.0, 0.995, 1.0, 1.0,
+                        1.0, 1.0],
+    "mean_accuracy": 0.9983333333333333,
+}
+
+
+@pytest.fixture(scope="module")
+def corpus5():
+    X, y, _, _ = make_feature_corpus(3000, seed=5)
+    return X, y
+
+
+def test_model_bytes_are_unchanged(corpus5, tmp_path):
+    save_model(BaggedTreesClassifier().fit(*corpus5), tmp_path / "m.lctm")
+    assert hashlib.sha256((tmp_path / "m.lctm").read_bytes()).hexdigest() == _CORPUS5_MODEL_SHA256
+
+
+def test_cv_result_is_unchanged(corpus5):
+    assert cross_validate(*corpus5, k=15) == _CORPUS5_CV
 
 
 def test_bagged_rejects_single_class():
