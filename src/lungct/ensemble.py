@@ -27,6 +27,7 @@ from .config import DEFAULTS
 from .errors import (
     EmptyTrainingSetError,
     FoldTooSmallError,
+    InputError,
     LengthMismatchError,
     ModelFormatError,
     ModelVersionError,
@@ -344,7 +345,11 @@ def cross_validate(X, y, k=CV_FOLDS, seed=DEFAULTS.seed, groups=None, workers=DE
 
 
 def evaluate(predictions, labels):
-    """Confusion counts and the standard ratios for binary predictions."""
+    """Confusion counts and the standard ratios for binary predictions.
+
+    Every prediction and label must be 0 or 1 (``InputError`` otherwise), so
+    the four confusion cells add up to the number of rows.
+    """
     predictions = np.asarray(predictions, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     if predictions.shape != labels.shape or predictions.ndim != 1 or len(predictions) == 0:
@@ -352,6 +357,10 @@ def evaluate(predictions, labels):
             f"predictions ({predictions.shape}) and labels ({labels.shape}) must be "
             "equal-length non-empty vectors"
         )
+    for name, values in (("prediction", predictions), ("label", labels)):
+        bad = np.flatnonzero((values != 0) & (values != 1))
+        if bad.size:
+            raise InputError(f"{name} {values[bad[0]]} at index {bad[0]} is not 0 or 1")
     tp = int(np.sum((predictions == 1) & (labels == 1)))
     fn = int(np.sum((predictions == 0) & (labels == 1)))
     fp = int(np.sum((predictions == 1) & (labels == 0)))

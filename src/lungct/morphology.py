@@ -6,14 +6,28 @@ operators treat the image border by shrinking the neighborhood: pixels
 outside the image simply do not participate, no padding value is
 invented.
 
-Only the max side is implemented, on int32: one disk max filter, one
-separable 3x3 max filter and one geodesic-dilation fixpoint loop built
-on it. Every min-based operator is its exact dual, ``min(f) = -max(-f)``
-(negate, run the max kernel, negate back), so intermediate images may
-leave [0, 255]. Regional maxima take no fixpoint loop: two 3x3 max
-filters and one labelling pass find the plateaus with no brighter
-neighbour. Each public function validates and converts its uint8 input
-once and composes the int32 kernels, never the public functions.
+Only the max side is implemented, and it runs on the uint8 image itself:
+one disk max filter (padded with 0, the identity of max on uint8), one
+separable 3x3 max filter and one geodesic-dilation fixpoint loop built on
+it (Vincent 1993). Every min-based operator is its exact dual under the
+order-reversing complement ``~x = 255 - x`` (``not x`` on bool masks):
+``min(f) = ~max(~f)``. The complement maps [0, 255] onto itself, and
+every iterate of a reconstruction stays between its marker and its mask,
+so no image ever leaves uint8.
+
+Minima imposition is the textbook reconstruction by erosion of the marker
+image (0 on markers, +inf elsewhere) above ``min(img + 1, marker image)``.
+Clipping at 255 is monotone, so it commutes with every erosion and max of
+that reconstruction: clipping the two inputs first gives the clipped
+result, and the clipped inputs fit in uint8.
+
+Regional maxima take no fixpoint loop: two 3x3 max filters and one
+labelling pass find the plateaus with no brighter neighbour. Their second
+filter reads ``img + 1`` on pixels that have a brighter neighbour, which
+are therefore at most 254, so it stays in uint8 too.
+
+Each public function validates its input once and composes the uint8
+kernels, never the public functions. Every result is a new array.
 """
 
 import warnings
@@ -24,9 +38,6 @@ from scipy import ndimage
 
 from .errors import EmptyMarkerError
 from .validation import as_bool_mask, as_gray_image, require_same_shape
-
-# Padding that never wins a max against real (or negated) data.
-_LO = np.int32(-(2**30))
 
 _FULL_3X3 = np.ones((3, 3), dtype=bool)
 
@@ -58,12 +69,12 @@ def make_disk(radius: int) -> StructuringElement:
 
 
 def _max_filter(arr, se):
-    """Shrinking-border max filter over the structuring element (int32)."""
+    """Shrinking-border max filter over the structuring element (uint8 or bool)."""
     h, w = arr.shape
     r = se.radius
     if r == 0:
         return arr.copy()
-    padded = np.pad(arr, r, constant_values=_LO)
+    padded = np.pad(arr, r)
     out = arr.copy()
     for dx, dy in se.offsets:
         if dx == 0 and dy == 0:
@@ -74,31 +85,27 @@ def _max_filter(arr, se):
 
 
 def _min_filter(arr, se):
-    return -_max_filter(-arr, se)
-
-
-def _as_int(img, name="image"):
-    return as_gray_image(img, name).astype(np.int32)
+    return ~_max_filter(~arr, se)
 
 
 def erode(img, se: StructuringElement):
     """Minimum over the disk neighborhood of each pixel."""
-    return _min_filter(_as_int(img), se).astype(np.uint8)
+    return _min_filter(as_gray_image(img), se)
 
 
 def dilate(img, se: StructuringElement):
     """Maximum over the disk neighborhood of each pixel."""
-    return _max_filter(_as_int(img), se).astype(np.uint8)
+    return _max_filter(as_gray_image(img), se)
 
 
 def open_image(img, se: StructuringElement):
     """Erosion followed by dilation: removes bright structures below the disk."""
-    return _max_filter(_min_filter(_as_int(img), se), se).astype(np.uint8)
+    return _max_filter(_min_filter(as_gray_image(img), se), se)
 
 
 def close_image(img, se: StructuringElement):
     """Dilation followed by erosion: fills dark structures below the disk."""
-    return _min_filter(_max_filter(_as_int(img), se), se).astype(np.uint8)
+    return _min_filter(_max_filter(as_gray_image(img), se), se)
 
 
 # --- geodesic reconstruction ---------------------------------------------------
@@ -133,8 +140,8 @@ def _reconstruct(marker, mask):
 
 
 def _marker_and_mask(marker, mask):
-    marker = _as_int(marker, "marker")
-    mask = _as_int(mask, "mask")
+    marker = as_gray_image(marker, "marker")
+    mask = as_gray_image(mask, "mask")
     require_same_shape(marker, mask, "marker and mask")
     return marker, mask
 
@@ -148,7 +155,7 @@ def reconstruct_by_dilation(marker, mask):
     if np.any(marker > mask):
         warnings.warn("marker exceeds mask; clamping marker to mask", stacklevel=2)
         marker = np.minimum(marker, mask)
-    return _reconstruct(marker, mask).astype(np.uint8)
+    return _reconstruct(marker, mask)
 
 
 def reconstruct_by_erosion(marker, mask):
@@ -157,19 +164,19 @@ def reconstruct_by_erosion(marker, mask):
     if np.any(marker < mask):
         warnings.warn("marker is below mask; clamping marker to mask", stacklevel=2)
         marker = np.maximum(marker, mask)
-    return (-_reconstruct(-marker, -mask)).astype(np.uint8)
+    return ~_reconstruct(~marker, ~mask)
 
 
 def open_by_reconstruction(img, se: StructuringElement):
     """Erode, then rebuild surviving structures to their exact original shape."""
-    arr = _as_int(img)
-    return _reconstruct(_min_filter(arr, se), arr).astype(np.uint8)
+    arr = as_gray_image(img)
+    return _reconstruct(_min_filter(arr, se), arr)
 
 
 def close_by_reconstruction(img, se: StructuringElement):
     """Dilate, then rebuild: dark structures below the disk are filled."""
-    arr = _as_int(img)
-    return (-_reconstruct(-_max_filter(arr, se), -arr)).astype(np.uint8)
+    arr = as_gray_image(img)
+    return ~_reconstruct(~_max_filter(arr, se), ~arr)
 
 
 # --- regional extrema ------------------------------------------------------------
@@ -181,13 +188,16 @@ def _regional_maxima(arr):
     pixels are equal, so each component of ``top`` lies in one plateau; it
     is the whole plateau unless one of its pixels touches an equal pixel
     that is not ``top``. Every neighbour of a ``top`` pixel is at most its
-    value, so that touch shows as the max over the non-``top`` neighbours
-    equalling the pixel.
+    value, so that touch shows as the max of ``lower`` (0 on ``top``, one
+    above the pixel elsewhere) exceeding the pixel. A pixel that is not
+    ``top`` has a brighter neighbour, so it is at most 254 and ``lower``
+    fits in uint8.
     """
     tmp = np.empty_like(arr)
     top = _max3x3(arr, np.empty_like(arr), tmp) <= arr
-    lower = np.where(top, _LO, arr)
-    leaks = top & (_max3x3(lower, np.empty_like(arr), tmp) == arr)
+    lower = arr + 1
+    lower[top] = 0
+    leaks = top & (_max3x3(lower, np.empty_like(arr), tmp) > arr)
     labels, n = ndimage.label(top, structure=_FULL_3X3)
     leaky = np.zeros(n + 1, dtype=bool)
     leaky[labels[leaks]] = True
@@ -196,12 +206,12 @@ def _regional_maxima(arr):
 
 def regional_maxima(img):
     """Mask of connected plateaus with no strictly brighter neighbor."""
-    return _regional_maxima(_as_int(img))
+    return _regional_maxima(as_gray_image(img))
 
 
 def regional_minima(img):
     """Mask of connected plateaus with no strictly darker neighbor."""
-    return _regional_maxima(255 - _as_int(img))
+    return _regional_maxima(~as_gray_image(img))
 
 
 def impose_minima(img, markers):
@@ -210,17 +220,16 @@ def impose_minima(img, markers):
     Marker pixels drop to 0; everywhere else the output stays strictly
     positive and no non-marker minimum survives.
     """
-    arr = _as_int(img)
+    arr = as_gray_image(img)
     markers = as_bool_mask(markers, arr.shape, "markers")
     if not markers.any():
         raise EmptyMarkerError("marker mask selects no pixel")
-    # Reconstruction by erosion of (0 on markers, +inf elsewhere) above
-    # min(img + 1, that marker), written as its dual.
-    forced = np.where(markers, np.int32(0), _LO)
-    out = -_reconstruct(forced, np.maximum(-arr - 1, forced))
-    return np.clip(out, 0, 255).astype(np.uint8)
+    # Reconstruction by erosion of (0 on markers, 255 elsewhere) above
+    # min(img + 1, 255, that marker), written as its dual.
+    forced = markers * np.uint8(255)
+    return ~_reconstruct(forced, np.maximum(254 - np.minimum(arr, 254), forced))
 
 
 def erode_mask(mask, se: StructuringElement):
     """Binary erosion with the shrinking-border policy."""
-    return _min_filter(as_bool_mask(mask).astype(np.int32), se).astype(bool)
+    return _min_filter(as_bool_mask(mask), se)

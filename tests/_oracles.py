@@ -130,6 +130,19 @@ def iterate_reconstruct_erosion(marker, mask, connectivity=8):
         cur = nxt
 
 
+def textbook_impose_minima(img, markers):
+    """Minima imposition by its definition, ``R^eps_{min(img + 1, f_m)}(f_m)``.
+
+    ``f_m`` is 0 on the markers and far above every pixel elsewhere (a
+    stand-in for +inf). Everything is int64 until the fixpoint; only then is
+    the result clipped to [0, 255].
+    """
+    img = np.asarray(img, dtype=np.int64)
+    f_m = np.where(markers, np.int64(0), np.int64(1 << 20))
+    out = iterate_reconstruct_erosion(f_m, np.minimum(img + 1, f_m))
+    return np.clip(out, 0, 255).astype(np.uint8)
+
+
 def plateau_regional_maxima(img, connectivity=8):
     """Flood each constant plateau and check no neighbor is brighter."""
     img = np.asarray(img, dtype=np.int64)

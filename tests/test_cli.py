@@ -458,6 +458,15 @@ def test_eval_malformed_exits_4(tmp_path):
     assert main(["eval", str(path)]) == 4
 
 
+def test_eval_label_outside_zero_and_one_exits_4(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("1,1\n0,2\n")
+    assert main(["eval", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert "label 2" in captured.err
+    assert "N = " not in captured.out
+
+
 # --- config --------------------------------------------------------------------
 
 def test_config_file_and_flag_override(tmp_path):

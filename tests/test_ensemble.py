@@ -20,6 +20,7 @@ from lungct.ensemble import (
 from lungct.errors import (
     EmptyTrainingSetError,
     FoldTooSmallError,
+    InputError,
     LengthMismatchError,
     ModelFormatError,
     ModelVersionError,
@@ -403,6 +404,15 @@ def test_evaluate_all_correct():
 def test_evaluate_length_mismatch():
     with pytest.raises(LengthMismatchError):
         evaluate([0, 1], [0])
+
+
+@pytest.mark.parametrize(
+    "predictions, labels, bad",
+    [([1, 0], [1, 2], "label 2"), ([1, -1], [1, 0], "prediction -1"), ([3, 0], [1, 0], "prediction 3")],
+)
+def test_evaluate_rejects_values_outside_zero_and_one(predictions, labels, bad):
+    with pytest.raises(InputError, match=bad):
+        evaluate(predictions, labels)
 
 
 # --- persistence --------------------------------------------------------------------------

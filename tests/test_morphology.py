@@ -10,6 +10,7 @@ from lungct.morphology import (
     close_image,
     dilate,
     erode,
+    erode_mask,
     impose_minima,
     make_disk,
     open_by_reconstruction,
@@ -21,6 +22,7 @@ from lungct.morphology import (
 )
 from lungct.phantom import make_phantom_series
 from lungct.preprocess import preprocess_slice
+from lungct.watershed import compute_markers
 
 from _oracles import (
     disk_offsets_bruteforce,
@@ -32,6 +34,7 @@ from _oracles import (
     plateau_regional_minima,
     reconstruction_regional_maxima,
     reconstruction_regional_minima,
+    textbook_impose_minima,
     window_dilate,
     window_erode,
 )
@@ -259,6 +262,13 @@ def test_regional_maxima_constant_image_is_one_plateau():
     assert regional_maxima(img).all()
 
 
+@pytest.mark.parametrize("value", [0, 255])
+def test_regional_extrema_of_constant_image_at_either_end_of_the_range(value):
+    img = np.full((5, 8), value, dtype=np.uint8)
+    assert regional_maxima(img).all()
+    assert regional_minima(img).all()
+
+
 def test_regional_maxima_single_peak():
     img = np.zeros((5, 5), dtype=np.uint8)
     img[2, 2] = 9
@@ -410,3 +420,75 @@ def test_impose_minima_minima_equal_markers(rng):
 def test_impose_minima_empty_marker_rejected():
     with pytest.raises(EmptyMarkerError):
         impose_minima(np.zeros((4, 4), dtype=np.uint8), np.zeros((4, 4), dtype=bool))
+
+
+def _extreme_image(rng, shape):
+    """Random image where about half the pixels sit at 0 or 255."""
+    img = rng.integers(0, 256, shape).astype(np.uint8)
+    pick = rng.random(shape)
+    img[pick < 0.25] = 0
+    img[pick > 0.75] = 255
+    return img
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (7, 23), (23, 7), (1, 15), (15, 1), (1, 1)])
+def test_impose_minima_values_match_textbook_formula(shape, rng):
+    for _ in range(8):
+        img = _extreme_image(rng, shape)
+        markers = rng.random(shape) < 0.1
+        markers.flat[rng.integers(markers.size)] = True
+        out = impose_minima(img, markers)
+        assert out.dtype == np.uint8
+        assert np.array_equal(out, textbook_impose_minima(img, markers))
+
+
+def test_impose_minima_values_match_textbook_formula_on_phantom_slices():
+    slices, _ = make_phantom_series(
+        n_slices=3, size=512, tumour_slices=(1,), distractor_slices=(2,), seed=8
+    )
+    for original in slices:
+        pre = preprocess_slice(original)
+        markers = compute_markers(pre)
+        seeds = markers.foreground | markers.background
+        assert not seeds.all()
+        assert np.array_equal(impose_minima(pre, seeds), textbook_impose_minima(pre, seeds))
+
+
+# --- results are new arrays --------------------------------------------------------
+
+_BOOL_RESULTS = {"regional_maxima", "regional_minima", "erode_mask"}
+_PUBLIC = (
+    "erode", "dilate", "open_image", "close_image", "reconstruct_by_dilation",
+    "reconstruct_by_erosion", "open_by_reconstruction", "close_by_reconstruction",
+    "regional_maxima", "regional_minima", "impose_minima", "erode_mask",
+)
+
+
+@pytest.mark.parametrize("radius", [0, 1, 3])
+@pytest.mark.parametrize("name", _PUBLIC)
+def test_results_never_alias_or_change_their_inputs(name, radius, rng):
+    img = _extreme_image(rng, (13, 17))
+    other = _extreme_image(rng, (13, 17))
+    markers = rng.random((13, 17)) < 0.6
+    se = make_disk(radius)
+    func, args = {
+        "erode": (erode, (img, se)),
+        "dilate": (dilate, (img, se)),
+        "open_image": (open_image, (img, se)),
+        "close_image": (close_image, (img, se)),
+        "reconstruct_by_dilation": (reconstruct_by_dilation, (np.minimum(img, other), img)),
+        "reconstruct_by_erosion": (reconstruct_by_erosion, (np.maximum(img, other), img)),
+        "open_by_reconstruction": (open_by_reconstruction, (img, se)),
+        "close_by_reconstruction": (close_by_reconstruction, (img, se)),
+        "regional_maxima": (regional_maxima, (img,)),
+        "regional_minima": (regional_minima, (img,)),
+        "impose_minima": (impose_minima, (img, markers)),
+        "erode_mask": (erode_mask, (markers, se)),
+    }[name]
+    arrays = [a for a in args if isinstance(a, np.ndarray)]
+    before = [a.copy() for a in arrays]
+    out = func(*args)
+    assert out.dtype == (bool if name in _BOOL_RESULTS else np.uint8)
+    for a, b in zip(arrays, before):
+        assert not np.shares_memory(out, a)
+        assert np.array_equal(a, b)
