@@ -228,8 +228,11 @@ def cmd_eval(args):
                 continue  # optional header
             if len(row) != 2:
                 raise ValueError(f"line {lineno}: expected 'prediction,label'")
-            predictions.append(int(row[0]))
-            labels.append(int(row[1]))
+            try:
+                predictions.append(int(row[0]))
+                labels.append(int(row[1]))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     metrics = evaluate(predictions, labels)
 
     tp, fn, fp, tn = metrics["confusion"]

@@ -44,7 +44,7 @@ _FULL_3X3 = np.ones((3, 3), dtype=bool)
 
 @dataclass(frozen=True)
 class StructuringElement:
-    """Flat disk neighborhood: all integer offsets within ``radius``."""
+    """Flat neighborhood: (dx, dy) offsets within ``radius`` on each axis (a disk, or a 3x3 square)."""
 
     radius: int
     offsets: tuple
@@ -233,3 +233,8 @@ def impose_minima(img, markers):
 def erode_mask(mask, se: StructuringElement):
     """Binary erosion with the shrinking-border policy."""
     return _min_filter(as_bool_mask(mask), se)
+
+
+def dilate_mask(mask, se: StructuringElement):
+    """Binary dilation with the shrinking-border policy: the dual of ``erode_mask``."""
+    return _max_filter(as_bool_mask(mask), se)

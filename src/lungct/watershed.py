@@ -2,13 +2,14 @@
 
 Markers come from regional maxima of a double reconstruction filter,
 split into foreground/background by a global Otsu threshold. Minima are
-imposed at all marker pixels and a priority flood grows each marker
-component into a catchment basin; pixels where two different labels meet
-become ridge (label 0). Candidate tumour regions are the basins grown
-from foreground markers.
+imposed at all marker pixels and a flood over hierarchical queues, one
+FIFO per gray level (Beucher & Meyer 1993), grows each marker component
+into a catchment basin; pixels where two different labels meet become
+ridge (label 0). Candidate tumour regions are the basins grown from
+foreground markers.
 """
 
-import heapq
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,9 @@ from scipy import ndimage
 from .config import DEFAULTS
 from .errors import NoMarkerError, ShapeError
 from .morphology import (
+    StructuringElement,
     close_by_reconstruction,
+    dilate_mask,
     erode_mask,
     impose_minima,
     make_disk,
@@ -29,7 +32,8 @@ from .validation import as_bool_mask, as_gray_image
 # The flood and the basin/ridge topology are 4-connected so each basin is
 # a single 4-connected component; extrema detection above stays 8-connected.
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-_FULL = np.ones((3, 3), dtype=bool)
+_SQUARE = StructuringElement(1, tuple((dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)))
+_BORDER, _UNQUEUED, _QUEUED = -2, -1, -3  # flood states of pixels without a label
 
 BORDER_EROSION_RADIUS = 2  # the dark area shrinks by this disk before it marks background
 
@@ -64,23 +68,17 @@ def otsu_threshold(img) -> int:
     """
     img = as_gray_image(img)
     hist = np.bincount(img.ravel(), minlength=256).astype(np.float64)
-    total = hist.sum()
-    below = np.cumsum(hist)                     # pixels with value < t is below[t-1]
+    n0 = np.cumsum(hist)[:-1]                   # pixels below t, for t = 1..255
+    n1 = hist.sum() - n0
     below_weighted = np.cumsum(hist * np.arange(256))
-    best_t, best_score = None, -1.0
-    for t in range(1, 256):
-        n0 = below[t - 1]
-        n1 = total - n0
-        if n0 == 0 or n1 == 0:
-            continue
-        mu0 = below_weighted[t - 1] / n0
-        mu1 = (below_weighted[255] - below_weighted[t - 1]) / n1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu0 = below_weighted[:-1] / n0
+        mu1 = (below_weighted[255] - below_weighted[:-1]) / n1
         score = n0 * n1 * (mu0 - mu1) ** 2
-        if score > best_score:
-            best_t, best_score = t, score
-    if best_t is None:
+    valid = (n0 != 0) & (n1 != 0)
+    if not valid.any():
         return int(img.flat[0]) + 1
-    return best_t
+    return int(np.argmax(np.where(valid, score, -1.0))) + 1  # first best t
 
 
 def compute_markers(pre, disk_radius=DEFAULTS.disk_radius) -> MarkerSet:
@@ -109,68 +107,65 @@ def compute_markers(pre, disk_radius=DEFAULTS.disk_radius) -> MarkerSet:
 
 def _seed_labels(markers: MarkerSet):
     """Label marker components: foreground first, then background, 4-connected."""
-    fg_labels, n_fg = ndimage.label(markers.foreground, structure=_CROSS)
+    seeds, n_fg = ndimage.label(markers.foreground, structure=_CROSS)
     bg_labels, _ = ndimage.label(markers.background, structure=_CROSS)
-    seeds = fg_labels.astype(np.int32)
-    np.add(seeds, np.where(bg_labels > 0, bg_labels + n_fg, 0).astype(np.int32), out=seeds)
+    background = bg_labels > 0
+    seeds[background] = bg_labels[background] + n_fg
     return seeds
 
 
-def _flood(values, seeds):
-    """Priority flood over padded flat lists; returns int32 label grid.
+def _flood(relief, seeds):
+    """Flood the uint8 relief from the seed labels; returns the int32 label grid.
 
-    Pops in increasing pixel value; insertion order breaks ties (FIFO).
-    A popped pixel adopting two different neighbor labels becomes ridge
-    (0) and does not propagate. Pockets sealed off entirely by ridge
-    pixels - possible only in degenerate marker geometries - are never
-    popped and become ridge too, because no basin could claim them: every
-    pushed pixel has a labelled 4-neighbor, so it joins a basin unless two
-    meet there, and a pixel that joins pushes all its unassigned
-    4-neighbors. A pocket pixel thus has only ridge and pocket pixels as
-    4-neighbors.
+    Hierarchical queues, one FIFO per gray level: pixels pop in increasing
+    relief value, ties in queueing order; a pixel queued below the current
+    level steps the level back to it. A popped pixel meeting two different
+    labels becomes ridge (0) and does not propagate. Every queued pixel has
+    a labelled 4-neighbor and a pixel that joins a basin queues all its
+    unqueued 4-neighbors, so pixels never queued form pockets sealed off by
+    ridge (possible only in degenerate marker geometries) and stay ridge.
+    Labels go in place into a padded copy of ``seeds``: only the unlabelled
+    pixels are visited one by one.
     """
-    h, w = values.shape
-    wp = w + 2
-    val = np.pad(values.astype(np.int32), 1).ravel().tolist()
-    lab_arr = np.pad(seeds, 1, constant_values=-2)
-    unassigned = lab_arr == 0
-    frontier = unassigned & ndimage.binary_dilation(lab_arr > 0, structure=_CROSS)
-    lab_arr[unassigned] = -1
-    lab = lab_arr.ravel().tolist()
-
+    wp = relief.shape[1] + 2
     offsets = (-wp, -1, 1, wp)
-    heap = []
-    push = heapq.heappush
-    pop = heapq.heappop
-    queued = bytearray(len(lab))
-    seq = 0
-    for idx in np.flatnonzero(frontier.ravel()).tolist():
-        queued[idx] = 1
-        push(heap, (val[idx], seq, idx))
-        seq += 1
-    while heap:
-        _, _, idx = pop(heap)
-        first = 0
-        conflict = False
+    val = np.pad(relief, 1).tobytes()
+    lab_arr = np.pad(seeds, 1, constant_values=_BORDER)
+    unassigned = lab_arr == 0
+    frontier = unassigned & dilate_mask(lab_arr > 0, make_disk(1))
+    lab_arr[unassigned] = _UNQUEUED
+    lab_arr[frontier] = _QUEUED
+    lab = memoryview(lab_arr.reshape(-1))
+    queues = [deque() for _ in range(256)]
+    for idx in np.flatnonzero(frontier).tolist():
+        queues[val[idx]].append(idx)
+    level = 0
+    while level < 256:
+        queue = queues[level]
+        if not queue:
+            level += 1
+            continue
+        idx = queue.popleft()
+        label = 0
         for off in offsets:
             neighbor = lab[idx + off]
-            if neighbor > 0:
-                if first == 0:
-                    first = neighbor
-                elif neighbor != first:
-                    conflict = True
-        if conflict:
-            lab[idx] = 0
+            if neighbor > 0 and neighbor != label:
+                if label:
+                    label = 0  # two basins meet here: ridge
+                    break
+                label = neighbor
+        lab[idx] = label
+        if not label:
             continue
-        lab[idx] = first
         for off in offsets:
             n = idx + off
-            if lab[n] == -1 and not queued[n]:
-                queued[n] = 1
-                push(heap, (val[n], seq, n))
-                seq += 1
-    out = np.array(lab, dtype=np.int32).reshape(h + 2, wp)[1:-1, 1:-1]
-    return np.maximum(out, 0)  # unpopped pocket pixels (-1) become ridge
+            if lab[n] == _UNQUEUED:
+                lab[n] = _QUEUED
+                v = val[n]
+                queues[v].append(n)
+                if v < level:
+                    level = v
+    return np.maximum(lab_arr[1:-1, 1:-1], 0)  # unpopped pocket pixels become ridge
 
 
 def watershed(img, markers: MarkerSet):
@@ -185,9 +180,7 @@ def watershed(img, markers: MarkerSet):
         raise ShapeError(f"markers shape {markers.shape} does not match image {img.shape}")
     if not markers.any():
         raise NoMarkerError("both marker masks are empty")
-    relief = impose_minima(img, markers.foreground | markers.background)
-    seeds = _seed_labels(markers)
-    return _flood(relief, seeds)
+    return _flood(impose_minima(img, markers.foreground | markers.background), _seed_labels(markers))
 
 
 def candidate_masks(labels, markers: MarkerSet):
@@ -209,8 +202,7 @@ def candidate_masks(labels, markers: MarkerSet):
     masks = []
     for basin_id in candidate_ids:
         basin = labels == basin_id
-        bounding = ridge & ndimage.binary_dilation(basin, structure=_FULL) & ~claimed
-        mask = basin | bounding
+        mask = basin | (ridge & dilate_mask(basin, _SQUARE) & ~claimed)
         claimed |= mask
         masks.append(mask)
     return masks

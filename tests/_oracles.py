@@ -4,8 +4,11 @@ Each oracle derives its answer straight from the operator's definition,
 using a different decomposition than the library (per-pixel window
 gathers and float infinities here vs. offset-shifted integer
 accumulation there; naive fixpoint iteration vs. buffered propagation;
-pure-python recursion vs. vectorized split scoring).
+a heap flood vs. hierarchical queues; pure-python recursion vs.
+vectorized split scoring).
 """
+
+import heapq
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -14,6 +17,7 @@ from scipy import ndimage
 from lungct.morphology import (
     close_by_reconstruction,
     erode_mask,
+    impose_minima,
     make_disk,
     open_by_reconstruction,
     regional_maxima,
@@ -227,6 +231,92 @@ def markers_by_component(pre, disk_radius):
             dark_maxima = np.isin(labels, dark_ids)
     eroded_dark = erode_mask(~bright, make_disk(BORDER_EROSION_RADIUS))
     return foreground, (dark_maxima | eroded_dark) & ~foreground
+
+
+def loop_otsu_threshold(img):
+    """Otsu's threshold by a loop over t = 1..255, the same float64 formula per t.
+
+    Returns the first t with the highest score, or the single value + 1 of
+    a constant image.
+    """
+    hist = np.bincount(np.asarray(img).ravel(), minlength=256).astype(np.float64)
+    total = hist.sum()
+    below = np.cumsum(hist)
+    below_weighted = np.cumsum(hist * np.arange(256))
+    best_t, best_score = None, -1.0
+    for t in range(1, 256):
+        n0 = below[t - 1]
+        n1 = total - n0
+        if n0 == 0 or n1 == 0:
+            continue
+        mu0 = below_weighted[t - 1] / n0
+        mu1 = (below_weighted[255] - below_weighted[t - 1]) / n1
+        score = n0 * n1 * (mu0 - mu1) ** 2
+        if score > best_score:
+            best_t, best_score = t, score
+    return int(np.asarray(img).flat[0]) + 1 if best_t is None else best_t
+
+
+# --- watershed flood -------------------------------------------------------------
+
+def heap_watershed(img, foreground, background):
+    """Marker-controlled watershed on a heap of (value, insertion, index) entries.
+
+    Minima are imposed at the markers as in the package; the 4-connected
+    marker components are labelled foreground first. The flood pops the
+    smallest value, then the earliest insertion; a pixel meeting two labels
+    becomes ridge (0) and pixels never popped stay ridge.
+    """
+    cross = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+    fg_labels, n_fg = ndimage.label(foreground, structure=cross)
+    bg_labels, _ = ndimage.label(background, structure=cross)
+    seeds = np.where(bg_labels > 0, bg_labels + n_fg, fg_labels)
+    relief = impose_minima(img, foreground | background)
+    h, w = relief.shape
+    wp = w + 2
+    val = np.pad(relief.astype(np.int64), 1).ravel().tolist()
+    lab_arr = np.pad(seeds, 1, constant_values=-2)
+    unassigned = lab_arr == 0
+    frontier = unassigned & ndimage.binary_dilation(lab_arr > 0, structure=cross)
+    lab_arr[unassigned] = -1
+    lab = lab_arr.ravel().tolist()
+    heap, queued, seq = [], set(), 0
+    for idx in np.flatnonzero(frontier.ravel()).tolist():
+        queued.add(idx)
+        heapq.heappush(heap, (val[idx], seq, idx))
+        seq += 1
+    while heap:
+        _, _, idx = heapq.heappop(heap)
+        around = {lab[idx + off] for off in (-wp, -1, 1, wp)} - {-2, -1, 0}
+        if len(around) > 1:
+            lab[idx] = 0
+            continue
+        lab[idx] = around.pop()
+        for n in (idx - wp, idx - 1, idx + 1, idx + wp):
+            if lab[n] == -1 and n not in queued:
+                queued.add(n)
+                heapq.heappush(heap, (val[n], seq, n))
+                seq += 1
+    out = np.array(lab).reshape(h + 2, wp)[1:-1, 1:-1]
+    return np.maximum(out, 0)
+
+
+def dilation_candidate_masks(labels, foreground, background):
+    """Foreground basins untouched by background, each with its 8-neighbour ridge ring.
+
+    The ring comes from ``ndimage.binary_dilation``; a ridge pixel goes to
+    the lowest candidate label that reaches it.
+    """
+    candidate_ids = sorted(set(labels[foreground].tolist()) - set(labels[background].tolist()) - {0})
+    claimed = np.zeros(labels.shape, dtype=bool)
+    masks = []
+    for basin_id in candidate_ids:
+        basin = labels == basin_id
+        ring = ndimage.binary_dilation(basin, structure=np.ones((3, 3), dtype=bool))
+        mask = basin | (ring & (labels == 0) & ~claimed)
+        claimed |= mask
+        masks.append(mask)
+    return masks
 
 
 # --- reference tree learner ------------------------------------------------------

@@ -458,6 +458,14 @@ def test_eval_malformed_exits_4(tmp_path):
     assert main(["eval", str(path)]) == 4
 
 
+@pytest.mark.parametrize("cells", ["0.0,1", "0,x"])
+def test_eval_non_integer_cell_names_its_line(tmp_path, capsys, cells):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"prediction,label\n1,1\n{cells}\n")
+    assert main(["eval", str(path)]) == 4
+    assert "line 3:" in capsys.readouterr().err
+
+
 def test_eval_label_outside_zero_and_one_exits_4(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("1,1\n0,2\n")

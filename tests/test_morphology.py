@@ -6,9 +6,11 @@ from scipy import ndimage
 
 from lungct.errors import EmptyMarkerError, ShapeError
 from lungct.morphology import (
+    StructuringElement,
     close_by_reconstruction,
     close_image,
     dilate,
+    dilate_mask,
     erode,
     erode_mask,
     impose_minima,
@@ -98,6 +100,24 @@ def test_window_oracle_agrees_with_naive_oracle(rng):
     img = rng.integers(0, 256, (12, 12)).astype(np.uint8)
     assert np.array_equal(window_erode(img, se), naive_erode(img, se))
     assert np.array_equal(window_dilate(img, se), naive_dilate(img, se))
+
+
+_SQUARE_3X3 = StructuringElement(1, tuple((dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)))
+
+
+@pytest.mark.parametrize("se", [make_disk(0), make_disk(1), make_disk(2), make_disk(3), _SQUARE_3X3],
+                         ids=["disk0", "disk1", "disk2", "disk3", "square3x3"])
+def test_dilate_mask_matches_binary_dilation(se, rng):
+    footprint = np.zeros((2 * se.radius + 1,) * 2, dtype=bool)
+    for dx, dy in se.offsets:
+        footprint[dy + se.radius, dx + se.radius] = True
+    for shape in [(16, 16), (7, 23), (23, 7), (1, 15), (15, 1), (1, 1)] * 5:
+        mask = rng.random(shape) < rng.uniform(0.02, 0.5)
+        before = mask.copy()
+        out = dilate_mask(mask, se)
+        assert out.dtype == bool
+        assert np.array_equal(out, ndimage.binary_dilation(mask, structure=footprint, border_value=0))
+        assert np.array_equal(mask, before)
 
 
 # --- opening / closing -------------------------------------------------------------
@@ -456,11 +476,11 @@ def test_impose_minima_values_match_textbook_formula_on_phantom_slices():
 
 # --- results are new arrays --------------------------------------------------------
 
-_BOOL_RESULTS = {"regional_maxima", "regional_minima", "erode_mask"}
+_BOOL_RESULTS = {"regional_maxima", "regional_minima", "erode_mask", "dilate_mask"}
 _PUBLIC = (
     "erode", "dilate", "open_image", "close_image", "reconstruct_by_dilation",
     "reconstruct_by_erosion", "open_by_reconstruction", "close_by_reconstruction",
-    "regional_maxima", "regional_minima", "impose_minima", "erode_mask",
+    "regional_maxima", "regional_minima", "impose_minima", "erode_mask", "dilate_mask",
 )
 
 
@@ -484,6 +504,7 @@ def test_results_never_alias_or_change_their_inputs(name, radius, rng):
         "regional_minima": (regional_minima, (img,)),
         "impose_minima": (impose_minima, (img, markers)),
         "erode_mask": (erode_mask, (markers, se)),
+        "dilate_mask": (dilate_mask, (markers, se)),
     }[name]
     arrays = [a for a in args if isinstance(a, np.ndarray)]
     before = [a.copy() for a in arrays]

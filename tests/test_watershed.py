@@ -17,7 +17,12 @@ from lungct.watershed import (
     watershed,
 )
 
-from _oracles import markers_by_component
+from _oracles import (
+    dilation_candidate_masks,
+    heap_watershed,
+    loop_otsu_threshold,
+    markers_by_component,
+)
 
 CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -50,6 +55,15 @@ def test_otsu_matches_naive_argmax(rng):
         if var > best_var:
             best_t, best_var = t, var
     assert otsu_threshold(img) == best_t
+
+
+def test_otsu_matches_loop_reference(rng):
+    # Few distinct values make tied scores, where the first best t must win.
+    for _ in range(2000):
+        h, w = rng.integers(1, 30, 2)
+        values = rng.choice(256, int(rng.choice([1, 2, 3, 8, 256])), replace=False)
+        img = values[rng.integers(0, values.size, (h, w))].astype(np.uint8)
+        assert otsu_threshold(img) == loop_otsu_threshold(img)
 
 
 def test_otsu_constant_image_gives_empty_bright_class():
@@ -226,6 +240,60 @@ def test_watershed_shape_mismatch():
     fg[0, 0] = True
     with pytest.raises(ShapeError):
         watershed(np.zeros((5, 5), dtype=np.uint8), MarkerSet(fg, np.zeros((4, 4), bool)))
+
+
+def _flood_bank(rng, n):
+    """Random images and disjoint random markers.
+
+    Images have 2, 3, 8 or 256 gray levels; some are one pixel wide or tall,
+    and some carry 1-px-wide bright lines.
+    """
+    for i in range(n):
+        h, w = rng.integers(1, 25, 2)
+        if i % 5 == 0:
+            h, w = (1, w) if i % 10 else (h, 1)
+        levels = int(rng.choice([2, 3, 8, 256]))
+        img = (rng.integers(0, levels, (h, w)) * (255 // (levels - 1))).astype(np.uint8)
+        if i % 3 == 0:  # 1-px-wide lines: a bright row and column across the image
+            img[rng.integers(0, h)] = 255
+            img[:, rng.integers(0, w)] = 255
+        fg = rng.random((h, w)) < rng.uniform(0.0, 0.2)
+        bg = (rng.random((h, w)) < rng.uniform(0.0, 0.2)) & ~fg
+        if fg.any() or bg.any():
+            yield img, fg, bg
+
+
+def test_watershed_and_candidates_match_heap_flood_reference():
+    # A pixel queued below the level being flooded is common on this bank:
+    # without the flood's step back to its level, most of these cases differ.
+    rng = np.random.default_rng(2024)
+    for img, fg, bg in _flood_bank(rng, 1500):
+        markers = MarkerSet(fg, bg)
+        labels = watershed(img, markers)
+        expected = heap_watershed(img, fg, bg)
+        assert labels.dtype == np.int32
+        assert np.array_equal(labels, expected)
+        masks = candidate_masks(labels, markers)
+        reference = dilation_candidate_masks(expected, fg, bg)
+        assert len(masks) == len(reference)
+        for got, want in zip(masks, reference):
+            assert np.array_equal(got, want)
+
+
+def test_watershed_matches_heap_flood_reference_on_phantom_slices():
+    slices, _ = make_phantom_series(
+        n_slices=3, size=512, tumour_slices=(1,), distractor_slices=(2,), seed=8
+    )
+    for original in slices:
+        pre = preprocess_slice(original)
+        markers = compute_markers(pre)
+        labels = watershed(pre, markers)
+        expected = heap_watershed(pre, markers.foreground, markers.background)
+        assert np.array_equal(labels, expected)
+        masks = candidate_masks(labels, markers)
+        reference = dilation_candidate_masks(expected, markers.foreground, markers.background)
+        assert len(masks) == len(reference)
+        assert all(np.array_equal(a, b) for a, b in zip(masks, reference))
 
 
 # --- candidate masks -----------------------------------------------------------------
