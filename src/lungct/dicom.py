@@ -40,38 +40,25 @@ _LONG_VRS = {b"OB", b"OW", b"OF", b"SQ", b"UT", b"UN"}
 _UNDEFINED_LENGTH = 0xFFFFFFFF
 
 
-@dataclass
+@dataclass(eq=False)
 class DicomObject:
-    """Parsed slice: raw tag map plus the decoded fields the pipeline uses."""
+    """Parsed slice: raw tag map plus the decoded fields the pipeline uses.
+
+    ``pixel_data`` is flat in the stored dtype: 8 or 16 bits, signed when
+    PixelRepresentation is 1.
+    """
 
     tags: dict = field(repr=False)
-    rows: int = 0
-    cols: int = 0
-    bits_allocated: int = 16
-    rescale_slope: float = 1.0
-    rescale_intercept: float = 0.0
-    slice_thickness_mm: float = DEFAULTS.slice_thickness_mm
-    pixel_spacing_mm: tuple = (DEFAULTS.pixel_spacing_row_mm, DEFAULTS.pixel_spacing_col_mm)
-    patient_id: str = ""
-    instance_number: int = 0
-    pixel_data: np.ndarray = None
-
-    def __eq__(self, other):
-        if not isinstance(other, DicomObject):
-            return NotImplemented
-        return (
-            self.tags == other.tags
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.bits_allocated == other.bits_allocated
-            and self.rescale_slope == other.rescale_slope
-            and self.rescale_intercept == other.rescale_intercept
-            and self.slice_thickness_mm == other.slice_thickness_mm
-            and self.pixel_spacing_mm == other.pixel_spacing_mm
-            and self.patient_id == other.patient_id
-            and self.instance_number == other.instance_number
-            and np.array_equal(self.pixel_data, other.pixel_data)
-        )
+    rows: int
+    cols: int
+    bits_allocated: int
+    rescale_slope: float
+    rescale_intercept: float
+    slice_thickness_mm: float
+    pixel_spacing_mm: tuple
+    patient_id: str
+    instance_number: int
+    pixel_data: np.ndarray
 
 
 class _Reader:
@@ -236,7 +223,7 @@ def parse_dicom(
             f"PixelData holds {len(raw_pixels)} bytes; expected "
             f"{rows * cols * dtype.itemsize} for {rows}x{cols} at {bits} bits"
         )
-    pixel_data = np.frombuffer(raw_pixels, dtype=dtype).astype(np.int32)
+    pixel_data = np.frombuffer(raw_pixels, dtype=dtype)
 
     return DicomObject(
         tags=tags,

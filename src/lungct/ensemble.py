@@ -204,8 +204,11 @@ def _grow_tree(XT, y, S, min_leaf, max_depth) -> DecisionTree:
     return tree
 
 
-def _training_arrays(X, y):
-    """``X`` and ``y`` as float64 and int64 arrays, checked for shape."""
+def _training_arrays(X, y, min_leaf, max_depth):
+    """Check the tree settings; return ``X`` and ``y`` as float64 and int64 arrays of matching shape."""
+    for name, value, low in (("min_leaf", min_leaf, 1), ("max_depth", max_depth, 0)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or X.shape[1] == 0 or len(X) != len(y):
@@ -215,7 +218,7 @@ def _training_arrays(X, y):
 
 def train_tree(X, y, min_leaf=DEFAULTS.min_leaf, max_depth=DEFAULTS.max_depth) -> DecisionTree:
     """Grow one tree by greedy Gini splits with deterministic tie-breaking."""
-    X, y = _training_arrays(X, y)
+    X, y = _training_arrays(X, y, min_leaf, max_depth)
     if len(y) == 0:
         raise EmptyTrainingSetError("cannot train a tree on zero samples")
     XT = np.ascontiguousarray(X.T)
@@ -238,7 +241,7 @@ class BaggedTreesClassifier(ParamsMixin):
         self.max_depth = max_depth
 
     def fit(self, X, y):
-        X, y = _training_arrays(X, y)
+        X, y = _training_arrays(X, y, self.min_leaf, self.max_depth)
         if len(y) == 0:
             raise EmptyTrainingSetError("cannot fit on zero samples")
         if len(y) < 2 or len(np.unique(y)) < 2:

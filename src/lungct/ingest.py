@@ -105,14 +105,16 @@ def load_series(
 ) -> CtSeries:
     """Load every readable slice in ``directory`` into an ordered series.
 
-    DICOM files are windowed to 8-bit via ``to_gray8``. If the directory
+    Each DICOM file is windowed to 8-bit via ``to_gray8`` as it is read;
+    only that slice, its ids and its geometry are kept. If the directory
     holds no DICOM at all, binary PGM files are accepted as a fallback
     slice format (ordered by filename, patient id = resolved directory name).
     The default thickness and spacing (typically the config's) stand in for
     geometry a slice lacks: always for PGM, per missing tag for DICOM.
 
     Unreadable files are skipped with a warning; an unreadable directory
-    raises EmptySeriesError.
+    raises EmptySeriesError. A window ``to_gray8`` rejects raises at the
+    first DICOM slice.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -122,6 +124,9 @@ def load_series(
         paths = sorted(p for p in directory.iterdir() if p.is_file())
     except OSError as exc:
         raise EmptySeriesError(f"cannot list {directory}: {exc}") from exc
+    pgm_fields = (directory.resolve().name, float(default_thickness_mm),
+                  (float(default_spacing_mm[0]), float(default_spacing_mm[1])))
+    # Per file: (instance number, filename, patient id, thickness, spacing, gray8 slice).
     dicoms = []
     pgms = []
     for path in paths:
@@ -132,14 +137,21 @@ def load_series(
             continue
         if _looks_like_dicom(data):
             try:
-                dicoms.append((path.name, parse_dicom(data, default_thickness_mm, default_spacing_mm)))
+                obj = parse_dicom(data, default_thickness_mm, default_spacing_mm)
             except Exception as exc:  # noqa: BLE001 - tolerate junk neighbours
                 warnings.warn(f"skipping {path.name}: {exc}", stacklevel=2)
+                continue
+            # Outside the try: a bad window is the caller's error, not a junk file.
+            dicoms.append((obj.instance_number, path.name, obj.patient_id, obj.slice_thickness_mm,
+                           obj.pixel_spacing_mm, to_gray8(obj, *window)))
         elif data.startswith(b"P5"):
             try:
-                pgms.append((path.name, read_pgm(data)))
+                img = read_pgm(data)
             except FormatError as exc:
                 warnings.warn(f"skipping {path.name}: {exc}", stacklevel=2)
+                continue
+            # ``paths`` is sorted, so PGM slices are numbered in filename order.
+            pgms.append((len(pgms) + 1, path.name, *pgm_fields, img))
         else:
             warnings.warn(f"skipping {path.name}: not a DICOM or PGM file", stacklevel=2)
 
@@ -150,46 +162,29 @@ def load_series(
                 "DICOM slices are present",
                 stacklevel=2,
             )
-        return _series_from_dicoms(dicoms, window)
+        return _assemble(dicoms)
     if pgms:
-        return _series_from_pgms(directory.resolve().name, pgms, default_thickness_mm, default_spacing_mm)
+        return _assemble(pgms)
     raise EmptySeriesError(f"no readable slices in {directory}")
 
 
-def _series_from_dicoms(named, window):
-    patient_ids = {obj.patient_id for _, obj in named}
-    if len(patient_ids) > 1:
-        raise MixedSeriesError(f"multiple patient ids in one directory: {sorted(patient_ids)}")
+def _assemble(slices):
+    """The series of per-file slices, in (instance number, filename) order.
 
-    # Instance-number order; filename only breaks exact duplicates.
-    named.sort(key=lambda item: (item[1].instance_number, item[0]))
-    objs = [obj for _, obj in named]
-
-    shapes = {(obj.rows, obj.cols) for obj in objs}
+    Geometry is the first slice's; every slice must share one patient id
+    and one shape.
+    """
+    slices.sort(key=lambda s: s[:2])
+    numbers, _, patient_ids, thicknesses, spacings, images = zip(*slices)
+    if len(set(patient_ids)) > 1:
+        raise MixedSeriesError(f"multiple patient ids in one directory: {sorted(set(patient_ids))}")
+    shapes = {img.shape for img in images}
     if len(shapes) > 1:
         raise SeriesShapeError(f"inconsistent slice dimensions: {sorted(shapes)}")
-
-    first = objs[0]
-    slices = np.stack([to_gray8(obj, *window) for obj in objs])
     return CtSeries(
-        patient_id=first.patient_id,
-        slices=slices,
-        slice_thickness_mm=first.slice_thickness_mm,
-        pixel_spacing_mm=first.pixel_spacing_mm,
-        instance_numbers=[obj.instance_number for obj in objs],
-    )
-
-
-def _series_from_pgms(patient_id, named, thickness_mm, spacing_mm):
-    named.sort(key=lambda item: item[0])
-    shapes = {img.shape for _, img in named}
-    if len(shapes) > 1:
-        raise SeriesShapeError(f"inconsistent slice dimensions: {sorted(shapes)}")
-    slices = np.stack([img for _, img in named])
-    return CtSeries(
-        patient_id=patient_id,
-        slices=slices,
-        slice_thickness_mm=float(thickness_mm),
-        pixel_spacing_mm=(float(spacing_mm[0]), float(spacing_mm[1])),
-        instance_numbers=list(range(1, len(named) + 1)),
+        patient_id=patient_ids[0],
+        slices=np.stack(images),
+        slice_thickness_mm=thicknesses[0],
+        pixel_spacing_mm=spacings[0],
+        instance_numbers=list(numbers),
     )

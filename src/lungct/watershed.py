@@ -193,15 +193,13 @@ def candidate_masks(labels, markers: MarkerSet):
     labels = np.asarray(labels)
     if labels.shape != markers.shape:
         raise ShapeError(f"labels shape {labels.shape} does not match markers {markers.shape}")
-    fg_ids = set(np.unique(labels[markers.foreground]).tolist())
-    bg_ids = set(np.unique(labels[markers.background]).tolist())
-    candidate_ids = sorted((fg_ids - bg_ids) - {0})
-
     ridge = labels == 0
     claimed = np.zeros(labels.shape, dtype=bool)
     masks = []
-    for basin_id in candidate_ids:
+    for basin_id in np.unique(labels[markers.foreground]).tolist():
         basin = labels == basin_id
+        if basin_id == 0 or (basin & markers.background).any():
+            continue
         mask = basin | (ridge & dilate_mask(basin, _SQUARE) & ~claimed)
         claimed |= mask
         masks.append(mask)

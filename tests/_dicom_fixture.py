@@ -121,3 +121,11 @@ def build_dicom(
     for raw in extra_elements:
         body += raw
     return b"\x00" * 128 + magic + meta + body
+
+
+def assert_same_parse(a, b):
+    """Two parsed slices agree in every field; pixels by value and dtype."""
+    a, b = dict(vars(a)), dict(vars(b))
+    pixels_a, pixels_b = a.pop("pixel_data"), b.pop("pixel_data")
+    assert pixels_a.dtype == pixels_b.dtype and np.array_equal(pixels_a, pixels_b)
+    assert a == b

@@ -46,7 +46,7 @@ from lungct.phantom import make_feature_corpus, make_phantom_series, write_serie
 from lungct.pipeline import analyze_slice
 from lungct.watershed import MarkerSet, watershed
 
-from _dicom_fixture import build_dicom
+from _dicom_fixture import assert_same_parse, build_dicom
 from _oracles import (
     iterate_reconstruct_dilation,
     iterate_reconstruct_erosion,
@@ -332,7 +332,7 @@ def test_dicom_fixtures():
                   instance=7, slope=1.0, intercept=-1024.0, thickness=5.0, spacing=(0.7, 0.7))
     explicit = parse_dicom(build_dicom(explicit=True, **kwargs))
     implicit = parse_dicom(build_dicom(explicit=False, **kwargs))
-    assert explicit == implicit
+    assert_same_parse(explicit, implicit)
     assert explicit.pixel_data.tolist() == [0, 100, 200, 300]
 
     with pytest.raises(FormatError):

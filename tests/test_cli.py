@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -148,7 +149,7 @@ def test_analyze_refuses_to_replace_its_own_series(model_file, tmp_path, capsys)
 def test_analyze_rejects_patient_id_that_is_not_a_folder_name(model_file, tmp_path, capsys):
     series_dir = tmp_path / "in" / "DCM"
     series_dir.mkdir(parents=True)
-    (series_dir / "1.dcm").write_bytes(build_dicom(patient_id="../escape"))
+    (series_dir / "1.dcm").write_bytes(build_dicom(patient_id="../escape", thickness=5.0))
     out = tmp_path / "in" / "out"
     assert main(["analyze", str(series_dir), "--model", str(model_file), "--out", str(out)]) == 2
     assert "cannot name an output folder" in capsys.readouterr().err
@@ -375,7 +376,7 @@ def test_zero_window_width_on_dicom_exits_4(model_file, tmp_path, capsys):
     series_dir = tmp_path / "DCM"
     series_dir.mkdir()
     for instance in (1, 2):
-        (series_dir / f"{instance}.dcm").write_bytes(build_dicom(instance=instance))
+        (series_dir / f"{instance}.dcm").write_bytes(build_dicom(instance=instance, thickness=5.0))
     for command in (
         ["analyze", str(series_dir), "--model", str(model_file), "--out", str(tmp_path / "out")],
         ["extract-features", str(series_dir), "--out", str(tmp_path / "f.csv")],
@@ -401,7 +402,9 @@ def test_unwritable_out_and_unusable_input_exit_4(
     write_feature_csv(tmp_path / "unlabeled.csv", [("P", i, 100 + i, 50.0, 10.0, -1) for i in range(30)])
     paths = dict(series=phantom_dir[0], model=model_file, corpus=corpus_csv, file=blocker, tmp=tmp_path,
                  header_only=tmp_path / "header_only.csv", unlabeled=tmp_path / "unlabeled.csv")
-    assert main([arg.format(**paths) for arg in argv]) == 4
+    dropped = "{unlabeled}" in argv
+    with pytest.warns(UserWarning, match="dropping 30 unlabeled row") if dropped else nullcontext():
+        assert main([arg.format(**paths) for arg in argv]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -14,7 +14,7 @@ from lungct.dicom import (
 from lungct.errors import FormatError, MissingTagError, UnsupportedError
 from lungct.ingest import to_gray8
 
-from _dicom_fixture import build_dicom, element_explicit, element_implicit
+from _dicom_fixture import assert_same_parse, build_dicom, element_explicit, element_implicit
 
 
 BASE = dict(rows=2, cols=2, bits=16, pixels=(0, 100, 200, 300), patient_id="PAT1",
@@ -49,7 +49,7 @@ def test_truncated_file_is_format_error():
 def test_implicit_matches_explicit():
     explicit = parse_dicom(build_dicom(explicit=True, **BASE))
     implicit = parse_dicom(build_dicom(explicit=False, **BASE))
-    assert explicit == implicit
+    assert_same_parse(explicit, implicit)
 
 
 @pytest.mark.parametrize("explicit", [True, False])

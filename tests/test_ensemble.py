@@ -252,6 +252,19 @@ def test_bagged_rejects_empty():
         BaggedTreesClassifier().fit(np.zeros((0, 3)), np.zeros(0, dtype=int))
 
 
+@pytest.mark.parametrize("settings, message", [
+    (dict(min_leaf=0), "min_leaf must be >= 1, got 0"),
+    (dict(min_leaf=-3), "min_leaf must be >= 1, got -3"),
+    (dict(max_depth=-1), "max_depth must be >= 0, got -1"),
+])
+def test_bad_tree_settings_rejected_by_both_entry_points(settings, message):
+    X, y, _, _ = make_feature_corpus(200, seed=1)
+    with pytest.raises(ValueError, match=message):
+        train_tree(X, y, **settings)
+    with pytest.raises(ValueError, match=message):
+        BaggedTreesClassifier(n_trees=3, **settings).fit(X, y)
+
+
 def test_predict_vote_arithmetic():
     model = BaggedTreesClassifier(n_trees=3, seed=0)
     leaf1 = DecisionTree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], counts=[(0, 5)])

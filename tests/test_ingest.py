@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lungct.dicom import parse_dicom
 from lungct.errors import EmptySeriesError, FormatError, MixedSeriesError, SeriesShapeError
-from lungct.ingest import load_series, read_pgm, write_pgm
+from lungct.ingest import load_series, read_pgm, to_gray8, write_pgm
 
 from _dicom_fixture import build_dicom
 
@@ -103,6 +104,33 @@ def test_inconsistent_dimensions_rejected(tmp_path):
     ])
     with pytest.raises(SeriesShapeError):
         load_series(tmp_path)
+
+
+# Signed 16-bit CT with air stored as -1000, and 8-bit slices whose odd
+# pixel count leaves a pad byte after PixelData.
+_SIGNED_16 = dict(rows=2, cols=3, bits=16, pixel_representation=1, slope=1.0, intercept=0.0)
+_PADDED_8 = dict(rows=3, cols=3, bits=8, slope=4.0, intercept=-1024.0)
+
+
+@pytest.mark.parametrize("kind, pixels", [
+    (_SIGNED_16, lambda k: [-1000, -1000, -400 + 50 * k, 0, 300, -1000]),
+    (_PADDED_8, lambda k: [0, 30 + k, 60, 90, 120, 150, 180, 210, 255]),
+], ids=["signed-16", "padded-8"])
+def test_series_stacks_each_files_windowed_parse(tmp_path, kind, pixels):
+    window = (-300.0, 1400.0)
+    files = {}
+    for instance, name in ((2, "a.dcm"), (3, "b.dcm"), (1, "c.dcm")):
+        files[instance] = build_dicom(**kind, pixels=pixels(instance), patient_id="P7",
+                                      instance=instance, thickness=1.25, spacing=(0.6, 0.7))
+        (tmp_path / name).write_bytes(files[instance])
+    series = load_series(tmp_path, window=window)
+    expected = np.stack([to_gray8(parse_dicom(files[i]), *window) for i in (1, 2, 3)])
+    assert series.slices.dtype == np.uint8
+    assert np.array_equal(series.slices, expected)
+    assert series.instance_numbers == [1, 2, 3]
+    assert series.patient_id == "P7"
+    assert series.slice_thickness_mm == 1.25
+    assert series.pixel_spacing_mm == (0.6, 0.7)
 
 
 def test_pgm_series_fallback(tmp_path):
