@@ -5,6 +5,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check
+
 
 @dataclass
 class SliceDetection:
@@ -45,8 +47,9 @@ def build_report(patient_id, detections, thickness_mm, spacing_mm) -> SeriesRepo
     spacing so the number is in cubic millimetres. A max-area tie goes to
     the lowest slice index.
     """
-    if thickness_mm <= 0:
-        raise ValueError(f"slice thickness must be positive, got {thickness_mm}")
+    check("slice_thickness_mm", thickness_mm)
+    check("pixel_spacing_row_mm", spacing_mm[0])
+    check("pixel_spacing_col_mm", spacing_mm[1])
     detections = sorted(detections, key=lambda d: (d.slice_index, -d.area_px))
     total_area = sum(d.area_px for d in detections)
     pixel_area_mm2 = float(spacing_mm[0]) * float(spacing_mm[1])

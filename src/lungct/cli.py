@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .analytics import report_to_json, report_to_text
-from .config import PipelineConfig
+from .config import PipelineConfig, range_text
 from .ensemble import (
     CV_FOLDS,
     BaggedTreesClassifier,
@@ -44,22 +44,14 @@ def _fail(code, message):
 
 def _add_config_flags(parser):
     for f in fields(PipelineConfig):
-        flag = "--" + f.name.replace("_", "-")
-        parser.add_argument(flag, type=f.type, default=None,
-                            help=f"override config {f.name} (default {f.default})")
+        parser.add_argument("--" + f.name.replace("_", "-"), type=f.type,
+                            help=f"override config {f.name} (default {f.default}, "
+                                 f"range {range_text(f.name)})")
 
 
 def _load_config(args):
-    if getattr(args, "config", None):
-        config = PipelineConfig.from_file(args.config)
-    else:
-        config = PipelineConfig()
-    overrides = {
-        f.name: getattr(args, f.name)
-        for f in fields(PipelineConfig)
-        if getattr(args, f.name, None) is not None
-    }
-    return config.override(**overrides)
+    config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
+    return config.override(**{f.name: getattr(args, f.name) for f in fields(PipelineConfig)})
 
 
 def _load_series(args, config):

@@ -1,15 +1,24 @@
-"""Pipeline configuration: one flat record of every tunable, with defaults.
+"""Pipeline configuration: one flat record of every tunable, with its default and range.
 
 Serialized as plain ``key = value`` lines (``#`` comments allowed) so a
 run's settings diff cleanly. Every field can also be overridden by a CLI
 flag of the same name with dashes; file and flag values are parsed by the
-field's declared type. This is the only place a default is written: the
-layers take theirs from :data:`DEFAULTS`.
+field's declared type. This is the only place a default or a range is
+written: the layers take their defaults from :data:`DEFAULTS` and check
+their arguments with :func:`check`.
 """
 
 import inspect
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
+from math import inf
+from operator import ge, gt, le, lt
 from pathlib import Path
+
+
+def _tunable(default, low, high=inf, ends="[)"):
+    """A field with its default and its range from ``low`` to ``high``,
+    ``ends`` marking each end closed (``[``, ``]``) or open (``(``, ``)``)."""
+    return field(default=default, metadata={"range": (low, high, ends)})
 
 
 @dataclass
@@ -17,55 +26,37 @@ class PipelineConfig:
     # ingest: display window applied to DICOM stored values (PGM input is
     # used as-is), a lung/soft-tissue compromise; fallback geometry for
     # headerless PGM series
-    window_center: float = -300.0
-    window_width: float = 1400.0
-    slice_thickness_mm: float = 5.0
-    pixel_spacing_row_mm: float = 1.0
-    pixel_spacing_col_mm: float = 1.0
+    window_center: float = _tunable(-300.0, -inf, inf, "()")
+    window_width: float = _tunable(1400.0, 0, inf, "()")
+    slice_thickness_mm: float = _tunable(5.0, 0, inf, "()")
+    pixel_spacing_row_mm: float = _tunable(1.0, 0, inf, "()")
+    pixel_spacing_col_mm: float = _tunable(1.0, 0, inf, "()")
 
-    # preprocessing
-    blackout_fraction: float = 0.20
-    band_lo: int = 110
-    band_hi: int = 130
-    strip_width_fraction: float = 0.06
-    cleanup_radius_close: int = 3
-    cleanup_radius_open: int = 3
+    # preprocessing; band_lo < band_hi as well
+    blackout_fraction: float = _tunable(0.20, 0, 0.5)
+    band_lo: int = _tunable(110, 0, 255, "[]")
+    band_hi: int = _tunable(130, 0, 255, "[]")
+    strip_width_fraction: float = _tunable(0.06, 0, 0.3, "(]")
+    cleanup_radius_close: int = _tunable(3, 1)
+    cleanup_radius_open: int = _tunable(3, 1)
 
     # segmentation
-    disk_radius: int = 8
+    disk_radius: int = _tunable(8, 0)
 
-    # classifier
-    n_trees: int = 30
-    min_leaf: int = 5
-    max_depth: int = 12
-    seed: int = 0
+    # classifier; the LCTM model header stores the seed as int64, the rest as uint32
+    n_trees: int = _tunable(30, 1, 2**32 - 1, "[]")
+    min_leaf: int = _tunable(5, 1, 2**32 - 1, "[]")
+    max_depth: int = _tunable(12, 0, 2**32 - 1, "[]")
+    seed: int = _tunable(0, -2**63, 2**63 - 1, "[]")
 
     # execution
-    threads: int = 1
+    threads: int = _tunable(1, 1)
 
     def __post_init__(self):
-        # Checked here, so a bad file or flag is a config error before any
-        # slice is read; the layers keep their own checks for direct callers.
-        if self.threads < 1:
-            raise ValueError(f"threads must be at least 1, got {self.threads}")
-        for name in ("slice_thickness_mm", "pixel_spacing_row_mm", "pixel_spacing_col_mm"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0 <= self.band_lo < self.band_hi <= 255:
-            raise ValueError(
-                f"need 0 <= band_lo < band_hi <= 255, got band_lo {self.band_lo}, band_hi {self.band_hi}")
-        if self.disk_radius < 0:
-            raise ValueError(f"disk_radius must be >= 0, got {self.disk_radius}")
-        for name in ("cleanup_radius_close", "cleanup_radius_open"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0 <= self.blackout_fraction < 0.5:
-            raise ValueError(f"blackout_fraction must lie in [0, 0.5), got {self.blackout_fraction}")
-        if not 0 < self.strip_width_fraction <= 0.3:
-            raise ValueError(f"strip_width_fraction must lie in (0, 0.3], got {self.strip_width_fraction}")
-        for name, low in (("n_trees", 1), ("min_leaf", 1), ("max_depth", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        # A bad file or flag is a config error before any slice or CSV is read.
+        for f in fields(self):
+            check(f.name, getattr(self, f.name))
+        check_band(self.band_lo, self.band_hi)
 
     @classmethod
     def from_file(cls, path):
@@ -91,13 +82,10 @@ class PipelineConfig:
 
     def override(self, **updates):
         """Return a copy with the given non-None fields replaced."""
-        current = {f.name: getattr(self, f.name) for f in fields(self)}
-        for key, value in updates.items():
-            if key not in current:
-                raise ValueError(f"unknown config key {key!r}")
-            if value is not None:
-                current[key] = value
-        return PipelineConfig(**current)
+        unknown = updates.keys() - {f.name for f in fields(self)}
+        if unknown:
+            raise ValueError(f"unknown config key {min(unknown)!r}")
+        return replace(self, **{key: value for key, value in updates.items() if value is not None})
 
     def _kwargs_for(self, consumer):
         """The fields named by ``consumer``'s parameters, as keyword arguments."""
@@ -119,6 +107,34 @@ class PipelineConfig:
     def to_text(self):
         lines = [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)]
         return "\n".join(lines) + "\n"
+
+
+_RANGES = {f.name: f.metadata["range"] for f in fields(PipelineConfig)}
+_COMPARE = {"[": (ge, ">="), "(": (gt, ">"), "]": (le, "<="), ")": (lt, "<")}
+
+
+def check(name, value):
+    """Return ``value`` if it lies in config field ``name``'s range, else raise
+    a ValueError naming the bound it breaks (``min_leaf must be >= 1, got 0``).
+    NaN compares false with every bound, so it breaks the first."""
+    low, high, ends = _RANGES[name]
+    for end, bound in zip(ends, (low, high)):
+        within, symbol = _COMPARE[end]
+        if not within(value, bound):
+            raise ValueError(f"{name} must be {symbol} {bound}, got {value}")
+    return value
+
+
+def check_band(band_lo, band_hi):
+    """Check both band ends and the one rule across fields: the band is not empty."""
+    if not check("band_lo", band_lo) < check("band_hi", band_hi):
+        raise ValueError(f"band_lo must be < band_hi, got band_lo {band_lo}, band_hi {band_hi}")
+
+
+def range_text(name):
+    """Config field ``name``'s range in interval notation, such as ``[0, 0.5)``."""
+    low, high, ends = _RANGES[name]
+    return f"{ends[0]}{low}, {high}{ends[1]}"
 
 
 DEFAULTS = PipelineConfig()

@@ -7,6 +7,7 @@ scaling. Everything else in a file is skipped, not rejected, except for
 constructs that cannot be skipped safely (undefined-length values).
 """
 
+import math
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -107,12 +108,15 @@ def _decode_text(raw):
 
 
 def _decode_ds(raw, tag):
-    """Decimal string, possibly multi-valued (backslash separated)."""
+    """Decimal string, possibly multi-valued (backslash separated), finite as PS3.5 6.2 requires."""
     text = _decode_text(raw)
     try:
-        return [float(part) for part in text.split("\\") if part.strip() != ""]
+        values = [float(part) for part in text.split("\\") if part.strip() != ""]
     except ValueError as exc:
         raise FormatError(f"malformed decimal string in {tag}: {text!r}") from exc
+    if not all(map(math.isfinite, values)):
+        raise FormatError(f"non-finite decimal string in {tag}: {text!r}")
+    return values
 
 
 def _decode_us(raw, tag):

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .base import ParamsMixin
-from .config import DEFAULTS
+from .config import DEFAULTS, check
 from .errors import (
     EmptyTrainingSetError,
     FoldTooSmallError,
@@ -206,9 +206,8 @@ def _grow_tree(XT, y, S, min_leaf, max_depth) -> DecisionTree:
 
 def _training_arrays(X, y, min_leaf, max_depth):
     """Check the tree settings; return ``X`` and ``y`` as float64 and int64 arrays of matching shape."""
-    for name, value, low in (("min_leaf", min_leaf, 1), ("max_depth", max_depth, 0)):
-        if value < low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
+    check("min_leaf", min_leaf)
+    check("max_depth", max_depth)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or X.shape[1] == 0 or len(X) != len(y):
@@ -241,6 +240,7 @@ class BaggedTreesClassifier(ParamsMixin):
         self.max_depth = max_depth
 
     def fit(self, X, y):
+        check("n_trees", self.n_trees)
         X, y = _training_arrays(X, y, self.min_leaf, self.max_depth)
         if len(y) == 0:
             raise EmptyTrainingSetError("cannot fit on zero samples")
@@ -248,8 +248,6 @@ class BaggedTreesClassifier(ParamsMixin):
             raise SingleClassError("training data must contain both classes")
         if not set(np.unique(y).tolist()) <= {0, 1}:
             raise ValueError("labels must be 0 or 1")
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
 
         n = len(y)
         rng = Xorshift64Star(self.seed)
@@ -387,6 +385,8 @@ def save_model(model: BaggedTreesClassifier, path):
     """
     if not hasattr(model, "trees_"):
         raise ValueError("model must be fitted before saving")
+    # Checked here, not in fit: cross-validation's folds fit with seed + 1 on.
+    check("seed", model.seed)
     out = bytearray()
     out += MODEL_MAGIC
     out += struct.pack("<I", MODEL_VERSION)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULTS
+from .config import DEFAULTS, check
 from .dicom import MAGIC, PREAMBLE_LEN, DicomObject, parse_dicom
 from .errors import EmptySeriesError, FormatError, MixedSeriesError, SeriesShapeError
 from .validation import as_gray_image, round_half_away
@@ -39,8 +39,8 @@ def to_gray8(obj: DicomObject, window_center=DEFAULTS.window_center,
     [center - width/2, center + width/2] maps linearly onto [0, 255] with
     clamping. Rounding is half away from zero.
     """
-    if window_width <= 0:
-        raise ValueError(f"window width must be positive, got {window_width}")
+    check("window_center", window_center)
+    check("window_width", window_width)
     hu = obj.pixel_data.astype(np.float64) * obj.rescale_slope + obj.rescale_intercept
     low = window_center - window_width / 2.0
     scaled = 255.0 * (hu - low) / window_width

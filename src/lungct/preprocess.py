@@ -12,9 +12,9 @@ import inspect
 import numpy as np
 
 from .base import ParamsMixin
-from .config import DEFAULTS
+from .config import DEFAULTS, check, check_band
 from .morphology import close_image, make_disk, open_image
-from .validation import as_gray_image, check_fraction, round_half_away
+from .validation import as_gray_image, round_half_away
 
 BAND_LOW_TARGET = 210   # tumour band lands on 210..230
 BAND_OUT_TARGET = 10    # everything else lands on 10..30
@@ -24,14 +24,12 @@ STRIP_VALUE = 20        # middle of the suppressed 10..30 range
 
 def blackout_bands(img, fraction=DEFAULTS.blackout_fraction):
     """Zero the top and bottom ``fraction`` of image rows."""
-    check_fraction(fraction, "fraction", 0.0, 0.5, inclusive_high=False)
+    check("blackout_fraction", fraction)
     img = as_gray_image(img)
-    rows = int(np.floor(fraction * img.shape[0]))
-    if rows == 0:
-        return img.copy()
+    rows = int(np.floor(fraction * len(img)))
     out = img.copy()
-    out[:rows, :] = 0
-    out[-rows:, :] = 0
+    out[:rows] = 0
+    out[len(out) - rows :] = 0
     return out
 
 
@@ -47,8 +45,7 @@ def _remap_lut(band_lo, band_hi):
 
 def remap_intensity(img, band_lo=DEFAULTS.band_lo, band_hi=DEFAULTS.band_hi):
     """Step the [band_lo, band_hi] range up to 210..230, everything else down to 10..30."""
-    if not 0 <= band_lo < band_hi <= 255:
-        raise ValueError(f"need 0 <= band_lo < band_hi <= 255, got {band_lo}, {band_hi}")
+    check_band(band_lo, band_hi)
     img = as_gray_image(img)
     return _remap_lut(band_lo, band_hi)[img]
 
@@ -62,28 +59,25 @@ def apply_central_strip(img, width_fraction=DEFAULTS.strip_width_fraction,
     between the blackout bands. A fraction too small to reach one pixel is
     the identity.
     """
-    check_fraction(width_fraction, "width_fraction", 0.0, 0.3, inclusive_low=False)
-    check_fraction(blackout_fraction, "blackout_fraction", 0.0, 0.5, inclusive_high=False)
+    check("strip_width_fraction", width_fraction)
+    check("blackout_fraction", blackout_fraction)
     img = as_gray_image(img)
     height, width = img.shape
     strip = int(np.floor(width_fraction * width))
-    if strip == 0:
-        return img.copy()
-    half = strip // 2
-    center = width // 2
-    band = int(np.floor(blackout_fraction * height))
     out = img.copy()
-    out[band : height - band, max(0, center - half) : min(width, center + half + 1)] = value
+    if strip:
+        half, center = strip // 2, width // 2
+        band = int(np.floor(blackout_fraction * height))
+        out[band : height - band, max(0, center - half) : min(width, center + half + 1)] = value
     return out
 
 
 def cleanup(img, close_radius=DEFAULTS.cleanup_radius_close,
             open_radius=DEFAULTS.cleanup_radius_open):
     """Close then open with small disks: fill interior gaps, detach thin bridges."""
-    if close_radius < 1 or open_radius < 1:
-        raise ValueError("cleanup radii must be >= 1")
-    closed = close_image(img, make_disk(close_radius))
-    return open_image(closed, make_disk(open_radius))
+    close_se = make_disk(check("cleanup_radius_close", close_radius))
+    open_se = make_disk(check("cleanup_radius_open", open_radius))
+    return open_image(close_image(img, close_se), open_se)
 
 
 def preprocess_slice(

@@ -1,4 +1,4 @@
-"""Input validation helpers for images, masks and numeric arguments."""
+"""Input validation helpers for images and masks."""
 
 import numpy as np
 
@@ -43,16 +43,6 @@ def as_bool_mask(mask, shape=None, name="mask"):
 def require_same_shape(a, b, what="inputs"):
     if a.shape != b.shape:
         raise ShapeError(f"{what} must share dimensions: {a.shape} vs {b.shape}")
-
-
-def check_fraction(value, name, low=0.0, high=1.0, inclusive_low=True, inclusive_high=True):
-    ok_low = value >= low if inclusive_low else value > low
-    ok_high = value <= high if inclusive_high else value < high
-    if not (ok_low and ok_high):
-        lo_b = "[" if inclusive_low else "("
-        hi_b = "]" if inclusive_high else ")"
-        raise ValueError(f"{name} must lie in {lo_b}{low}, {high}{hi_b}, got {value}")
-    return value
 
 
 def round_half_away(x):

@@ -13,14 +13,23 @@ import pytest
 
 import lungct
 from lungct import errors
+from lungct.analytics import build_report
 from lungct.cli import main, parse_labels_file
 from lungct.config import PipelineConfig
+from lungct.dicom import parse_dicom
 from lungct.ensemble import BaggedTreesClassifier, cross_validate, save_model, train_tree
 from lungct.features import read_feature_csv, write_feature_csv
 from lungct.ingest import load_series, to_gray8
 from lungct.phantom import make_feature_corpus, make_phantom_series, write_series_pgm
 from lungct.pipeline import segment_series
-from lungct.preprocess import SlicePreprocessor, preprocess_slice
+from lungct.preprocess import (
+    SlicePreprocessor,
+    apply_central_strip,
+    blackout_bands,
+    cleanup,
+    preprocess_slice,
+    remap_intensity,
+)
 from lungct.watershed import compute_markers
 
 from _dicom_fixture import build_dicom
@@ -382,7 +391,7 @@ def test_zero_window_width_on_dicom_exits_4(model_file, tmp_path, capsys):
         ["extract-features", str(series_dir), "--out", str(tmp_path / "f.csv")],
     ):
         assert main(command + ["--window-width", "0"]) == 4
-        assert "window width must be positive" in capsys.readouterr().err
+        assert "window_width" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -504,6 +513,11 @@ def test_config_unknown_key_rejected(tmp_path):
     ("cleanup_radius_close", 0), ("cleanup_radius_open", -2), ("blackout_fraction", 2.0),
     ("blackout_fraction", 0.5), ("blackout_fraction", -0.1), ("strip_width_fraction", 0.0),
     ("strip_width_fraction", 0.4), ("n_trees", 0), ("min_leaf", 0), ("max_depth", -1),
+    ("window_width", 0.0), ("window_width", float("inf")), ("window_width", float("nan")),
+    ("window_center", float("nan")), ("window_center", float("inf")),
+    ("slice_thickness_mm", float("inf")), ("pixel_spacing_row_mm", float("inf")),
+    ("seed", 2**63), ("seed", -2**63 - 1),
+    ("n_trees", 2**32), ("min_leaf", 2**32), ("max_depth", 2**32),
 ])
 def test_config_rejects_out_of_range_values(field, value, phantom_dir, model_file, tmp_path, capsys):
     with pytest.raises(ValueError, match=field):
@@ -519,6 +533,62 @@ def test_config_rejects_out_of_range_values(field, value, phantom_dir, model_fil
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_train_seed_beyond_int64_exits_4_before_reading_the_csv(
+        monkeypatch, corpus_csv, tmp_path, capsys):
+    # The model file stores the seed as int64, so a larger one is refused
+    # before any training.
+    calls = []
+    monkeypatch.setattr("lungct.cli.read_feature_csv", lambda *args: calls.append(args))
+    out = tmp_path / "m.lctm"
+    assert main(["train", str(corpus_csv), "--out", str(out), "--seed", str(2**63)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed ") and err.count("\n") == 1
+    assert calls == []
+    assert not out.exists()
+
+
+_IMAGE = np.zeros((8, 8), dtype=np.uint8)
+_CORPUS = make_feature_corpus(200, seed=1)[:2]
+_SLICE = parse_dicom(build_dicom(thickness=5.0, spacing=(1.0, 1.0)))
+
+
+def _fit(**settings):
+    return BaggedTreesClassifier(n_trees=2, **settings).fit(*_CORPUS)
+
+
+@pytest.mark.parametrize("field, value, layer", [
+    ("blackout_fraction", 0.5, lambda v: blackout_bands(_IMAGE, v)),
+    ("blackout_fraction", -0.1, lambda v: apply_central_strip(_IMAGE, blackout_fraction=v)),
+    ("strip_width_fraction", 0.0, lambda v: apply_central_strip(_IMAGE, v)),
+    ("strip_width_fraction", float("nan"), lambda v: apply_central_strip(_IMAGE, v)),
+    ("band_lo", -1, lambda v: remap_intensity(_IMAGE, band_lo=v)),
+    ("band_hi", 256, lambda v: remap_intensity(_IMAGE, band_hi=v)),
+    ("band_hi", 100, lambda v: remap_intensity(_IMAGE, band_hi=v)),
+    ("cleanup_radius_close", 0, lambda v: cleanup(_IMAGE, close_radius=v)),
+    ("cleanup_radius_open", -1, lambda v: cleanup(_IMAGE, open_radius=v)),
+    ("min_leaf", 0, lambda v: train_tree(*_CORPUS, min_leaf=v)),
+    ("min_leaf", 2**32, lambda v: _fit(min_leaf=v)),
+    ("max_depth", 2**32, lambda v: train_tree(*_CORPUS, max_depth=v)),
+    ("max_depth", -1, lambda v: _fit(max_depth=v)),
+    ("n_trees", 0, lambda v: BaggedTreesClassifier(n_trees=v).fit(*_CORPUS)),
+    ("n_trees", 2**32, lambda v: BaggedTreesClassifier(n_trees=v).fit(*_CORPUS)),
+    ("seed", 2**63, lambda v: save_model(_fit(seed=v), os.devnull)),
+    ("window_width", 0.0, lambda v: to_gray8(_SLICE, window_width=v)),
+    ("window_width", float("nan"), lambda v: to_gray8(_SLICE, window_width=v)),
+    ("window_center", float("inf"), lambda v: to_gray8(_SLICE, window_center=v)),
+    ("slice_thickness_mm", float("inf"), lambda v: build_report("P", [], v, (1.0, 1.0))),
+    ("pixel_spacing_row_mm", 0.0, lambda v: build_report("P", [], 5.0, (v, 1.0))),
+    ("pixel_spacing_col_mm", float("nan"), lambda v: build_report("P", [], 5.0, (1.0, v))),
+])
+def test_layers_reject_what_the_config_rejects(field, value, layer):
+    with pytest.raises(ValueError) as from_config:
+        PipelineConfig(**{field: value})
+    with pytest.raises(ValueError) as from_layer:
+        layer(value)
+    assert field in str(from_layer.value)
+    assert str(from_layer.value) == str(from_config.value)
 
 
 def test_missing_config_file_exits_4(phantom_dir, model_file, corpus_csv, tmp_path, capsys):

@@ -203,6 +203,17 @@ def test_window_monotone(rng):
     assert np.all(np.diff(flat.astype(int)) >= 0)
 
 
+@pytest.mark.parametrize("tags", [
+    dict(thickness="nan"), dict(thickness="inf"), dict(spacing=("inf", "1")),
+    dict(slope="nan"), dict(slope="1e999"), dict(intercept="-inf"), dict(intercept="Infinity"),
+])
+def test_non_finite_decimal_string_is_format_error(tags):
+    # PS3.5 6.2: a decimal string is a fixed or floating point number; it
+    # has no spelling for NaN or infinity, though Python's float() accepts one.
+    with pytest.raises(FormatError, match="decimal string"):
+        parse_dicom(build_dicom(**{**BASE, **tags}))
+
+
 def test_window_width_must_be_positive():
     with pytest.raises(ValueError):
         to_gray8(_obj([0]), 0.0, 0.0)

@@ -57,6 +57,14 @@ def test_non_dicom_file_skipped_with_warning(tmp_path):
     assert len(series) == 2
 
 
+def test_non_finite_geometry_slice_skipped_with_warning(tmp_path):
+    _write_slices(tmp_path, [("a.dcm", _slice_kwargs(1)), ("b.dcm", _slice_kwargs(2))])
+    (tmp_path / "c.dcm").write_bytes(build_dicom(**{**_slice_kwargs(3), "thickness": "nan"}))
+    with pytest.warns(UserWarning, match="c.dcm.*decimal string"):
+        series = load_series(tmp_path)
+    assert series.instance_numbers == [1, 2]
+
+
 def test_unreadable_file_skipped_with_warning(tmp_path, monkeypatch):
     _write_slices(tmp_path, [("a.dcm", _slice_kwargs(1)), ("b.dcm", _slice_kwargs(2))])
     read_bytes = Path.read_bytes
