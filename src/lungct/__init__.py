@@ -1,10 +1,9 @@
 """Batch lung-CT tumour detection, segmentation and analysis.
 
-The image-processing names (pipeline, preprocess, watershed) load on first
-use (PEP 562), so training and evaluation never import scipy.
+Every public name is bound at import. scipy is not: it loads at the first
+connected-component labelling (``morphology._label``), which only the
+commands that segment reach, so training and evaluation never import it.
 """
-
-import importlib
 
 __version__ = "0.1.0"
 
@@ -19,18 +18,9 @@ from .ensemble import (
 )
 from .features import RegionFeatures, feature_vector
 from .ingest import CtSeries, load_series, to_gray8
-
-_LAZY = {
-    "analyze_slice": "pipeline",
-    "classify_series": "pipeline",
-    "segment_series": "pipeline",
-    "SlicePreprocessor": "preprocess",
-    "preprocess_slice": "preprocess",
-    "MarkerSet": "watershed",
-    "candidate_masks": "watershed",
-    "compute_markers": "watershed",
-    "extract_region": "watershed",
-}
+from .pipeline import analyze_slice, classify_series, segment_series
+from .preprocess import SlicePreprocessor, preprocess_slice
+from .watershed import MarkerSet, candidate_masks, compute_markers, extract_region
 
 __all__ = [
     "BaggedTreesClassifier",
@@ -57,11 +47,3 @@ __all__ = [
     "segment_series",
     "to_gray8",
 ]
-
-
-def __getattr__(name):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
-    globals()[name] = value
-    return value

@@ -16,7 +16,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
 from pathlib import Path
 
-from . import __version__
+from . import __version__, pipeline
 from .analytics import report_to_json, report_to_text
 from .config import PipelineConfig, range_text
 from .ensemble import (
@@ -64,8 +64,8 @@ def _load_series(args, config):
 
 
 def parse_labels_file(path):
-    """Read 'patient_id: i,j,k' lines into {patient_id: set(indices)}."""
-    table = {}
+    """Read 'patient_id: i,j,k' lines into {patient_id: set(indices)}, one line per patient."""
+    table, first_line = {}, {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -76,6 +76,9 @@ def parse_labels_file(path):
         patient = patient.strip()
         if not patient:
             raise ValueError(f"{path}:{lineno}: empty patient id")
+        if patient in table:
+            raise ValueError(f"{path}:{lineno}: patient {patient!r} is already listed "
+                             f"on line {first_line[patient]}")
         indices = set()
         rest = rest.strip()
         if rest:
@@ -83,15 +86,13 @@ def parse_labels_file(path):
                 indices = {int(part) for part in rest.split(",")}
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad slice index list: {rest!r}") from exc
-        table[patient] = indices
+        table[patient], first_line[patient] = indices, lineno
     return table
 
 
 # --- subcommands --------------------------------------------------------------
 
 def cmd_analyze(args):
-    from .pipeline import classify_series, render_overlay  # loads scipy; train and eval do not
-
     config = _load_config(args)
     start = time.perf_counter()
     series = _load_series(args, config)
@@ -115,27 +116,16 @@ def cmd_analyze(args):
     shutil.rmtree(staging, ignore_errors=True)
     staging.mkdir(parents=True)
     try:
-        report, _ = classify_series(series, model, config, workers=config.threads)
+        report, _ = pipeline.classify_series(series, model, config, workers=config.threads)
         (staging / "report.json").write_text(report_to_json(report))
         (staging / "report.txt").write_text(report_to_text(report))
         for detection in report.positives:
-            overlay = render_overlay(series.slices[detection.slice_index], detection.mask)
+            overlay = pipeline.render_overlay(series.slices[detection.slice_index], detection.mask)
             write_pgm(staging / f"slice_{detection.slice_index:03d}_overlay.pgm", overlay)
-        elapsed = time.perf_counter() - start
-        (staging / "run_meta.json").write_text(
-            json.dumps(
-                {
-                    "version": __version__,
-                    "finished_at": time.time(),
-                    "elapsed_s": elapsed,
-                    "n_slices": len(series),
-                    "threads": config.threads,
-                },
-                sort_keys=True,
-                indent=2,
-            )
-            + "\n"
-        )
+        meta = {"version": __version__, "finished_at": time.time(),
+                "elapsed_s": time.perf_counter() - start, "n_slices": len(series),
+                "threads": config.threads}
+        (staging / "run_meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
         if patient_dir.exists():
             shutil.rmtree(patient_dir)
         staging.rename(patient_dir)
@@ -181,16 +171,22 @@ def cmd_train(args):
 
 
 def cmd_extract_features(args):
-    from .pipeline import segment_series
-
     config = _load_config(args)
     series = _load_series(args, config)
 
     positive_slices = None
     if args.labels:
-        positive_slices = parse_labels_file(args.labels).get(series.patient_id, set())
+        table = parse_labels_file(args.labels)
+        if series.patient_id not in table:
+            raise ValueError(f"{args.labels}: no line for patient {series.patient_id!r}; "
+                             f"write '{series.patient_id}:' for a patient without tumour")
+        positive_slices = table[series.patient_id]
+        outside = sorted(i for i in positive_slices if not 0 <= i < len(series))
+        if outside:
+            raise ValueError(f"{args.labels}: patient {series.patient_id!r}: slice index "
+                             f"{', '.join(map(str, outside))} outside 0..{len(series) - 1}")
 
-    per_slice = segment_series(series.slices, config, workers=config.threads)
+    per_slice = pipeline.segment_series(series.slices, config, workers=config.threads)
     rows = []
     for slice_index, candidates in enumerate(per_slice):
         for cand in candidates:

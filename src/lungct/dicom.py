@@ -31,6 +31,8 @@ TAG_ROWS = (0x0028, 0x0010)
 TAG_COLS = (0x0028, 0x0011)
 TAG_PIXEL_SPACING = (0x0028, 0x0030)
 TAG_BITS_ALLOCATED = (0x0028, 0x0100)
+TAG_BITS_STORED = (0x0028, 0x0101)
+TAG_HIGH_BIT = (0x0028, 0x0102)
 TAG_PIXEL_REPRESENTATION = (0x0028, 0x0103)
 TAG_RESCALE_INTERCEPT = (0x0028, 0x1052)
 TAG_RESCALE_SLOPE = (0x0028, 0x1053)
@@ -46,7 +48,8 @@ class DicomObject:
     """Parsed slice: raw tag map plus the decoded fields the pipeline uses.
 
     ``pixel_data`` is flat in the stored dtype: 8 or 16 bits, signed when
-    PixelRepresentation is 1.
+    PixelRepresentation is 1. Each value is its low BitsStored bits,
+    sign-extended when signed; the bits above HighBit are dropped.
     """
 
     tags: dict = field(repr=False)
@@ -145,8 +148,9 @@ def parse_dicom(
     FormatError
         Missing "DICM" magic, truncation, or malformed values.
     UnsupportedError
-        Transfer syntax other than little-endian implicit/explicit VR,
-        or constructs that cannot be skipped (undefined lengths).
+        Transfer syntax other than little-endian implicit/explicit VR, a
+        HighBit other than BitsStored - 1, or constructs that cannot be
+        skipped (undefined lengths).
     MissingTagError
         A tag the pipeline cannot default is absent.
     """
@@ -181,6 +185,13 @@ def parse_dicom(
     bits = _decode_us(_require(tags, TAG_BITS_ALLOCATED), TAG_BITS_ALLOCATED)
     if bits not in (8, 16):
         raise UnsupportedError(f"BitsAllocated must be 8 or 16, got {bits}")
+    # PS3.3 C.7.6.3: the value is bits 0..BitsStored-1; both tags default to the full word.
+    stored = _decode_us(tags[TAG_BITS_STORED], TAG_BITS_STORED) if TAG_BITS_STORED in tags else bits
+    if not 1 <= stored <= bits:
+        raise FormatError(f"BitsStored must lie in [1, {bits}], got {stored}")
+    high_bit = _decode_us(tags[TAG_HIGH_BIT], TAG_HIGH_BIT) if TAG_HIGH_BIT in tags else stored - 1
+    if high_bit != stored - 1:
+        raise UnsupportedError(f"HighBit must be BitsStored - 1 = {stored - 1}, got {high_bit}")
 
     patient_id = _decode_text(_require(tags, TAG_PATIENT_ID))
     instance_raw = _decode_text(_require(tags, TAG_INSTANCE_NUMBER))
@@ -228,6 +239,10 @@ def parse_dicom(
             f"{rows * cols * dtype.itemsize} for {rows}x{cols} at {bits} bits"
         )
     pixel_data = np.frombuffer(raw_pixels, dtype=dtype)
+    if stored < bits:
+        # The left shift drops the bits above HighBit; the right shift is
+        # arithmetic on a signed dtype, so it sign-extends.
+        pixel_data = (pixel_data << (bits - stored)) >> (bits - stored)
 
     return DicomObject(
         tags=tags,

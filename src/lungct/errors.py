@@ -37,15 +37,7 @@ class MissingTagError(IngestError):
 
     def __init__(self, tag):
         self.tag = tag
-        super().__init__(f"required tag {_tag_str(tag)} is missing")
-
-
-def _tag_str(tag):
-    try:
-        group, element = tag
-        return f"({group:04X},{element:04X})"
-    except (TypeError, ValueError):
-        return repr(tag)
+        super().__init__(f"required tag ({tag[0]:04X},{tag[1]:04X}) is missing")
 
 
 class EmptySeriesError(IngestError):

@@ -7,6 +7,7 @@ of the region's bounding-box extremities.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,7 +83,8 @@ def write_feature_csv(path, rows):
 def read_feature_csv(path):
     """Read a feature CSV back into (X, y, patient_ids, slice_indices).
 
-    Raises ValueError on a malformed file (wrong header or bad row).
+    Raises ValueError on a malformed file: a wrong header, or a row with a
+    bad field count, a non-finite feature or a label other than -1, 0 or 1.
     """
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
@@ -101,8 +103,12 @@ def read_feature_csv(path):
             try:
                 patient_ids.append(row[0])
                 slice_indices.append(int(row[1]))
-                X.append([float(row[2]), float(row[3]), float(row[4])])
+                X.append([float(cell) for cell in row[2:5]])
                 y.append(int(row[5]))
+                if not all(map(math.isfinite, X[-1])):
+                    raise ValueError(f"non-finite feature value in {row[2:5]}")
+                if y[-1] not in (-1, 0, 1):
+                    raise ValueError(f"label must be -1, 0 or 1, got {y[-1]}")
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
     return (

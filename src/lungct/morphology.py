@@ -28,13 +28,15 @@ are therefore at most 254, so it stays in uint8 too.
 
 Each public function validates its input once and composes the uint8
 kernels, never the public functions. Every result is a new array.
+
+``_label`` numbers connected components; it is the one place in lungct
+that imports scipy, so only the commands that segment load it.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import EmptyMarkerError
 from .validation import as_bool_mask, as_gray_image, require_same_shape
@@ -181,6 +183,13 @@ def close_by_reconstruction(img, se: StructuringElement):
 
 # --- regional extrema ------------------------------------------------------------
 
+def _label(mask, structure):
+    """Connected components of a bool mask under ``structure``: (int32 labels, count)."""
+    from scipy import ndimage  # about 0.4 s to import; train and eval never get here
+
+    return ndimage.label(mask, structure=structure)
+
+
 def _regional_maxima(arr):
     """8-connected plateaus with no strictly higher neighbour (Vincent 1993).
 
@@ -198,7 +207,7 @@ def _regional_maxima(arr):
     lower = arr + 1
     lower[top] = 0
     leaks = top & (_max3x3(lower, np.empty_like(arr), tmp) > arr)
-    labels, n = ndimage.label(top, structure=_FULL_3X3)
+    labels, n = _label(top, _FULL_3X3)
     leaky = np.zeros(n + 1, dtype=bool)
     leaky[labels[leaks]] = True
     return top & ~leaky[labels]

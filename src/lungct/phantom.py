@@ -6,6 +6,8 @@ wall, a central trachea ring, vessel specks, optional tumour disks) plus
 labeled feature-space corpora for training the classifier.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from .ensemble import Xorshift64Star
@@ -122,20 +124,13 @@ def make_phantom_series(
     distractor_cy = size // 2 + int(0.08 * size)
     distractor_radius = max(9, int(15 * scale))
 
-    slices = []
-    for i in range(n_slices):
-        slices.append(
-            make_phantom_slice(
-                size=size,
-                rng=rng,
-                tumour=(tumour_cx, tumour_cy, radius) if i in set(tumour_slices) else None,
-                distractor=(
-                    (distractor_cx, distractor_cy, distractor_radius)
-                    if i in set(distractor_slices)
-                    else None
-                ),
-            )
-        )
+    tumour = (tumour_cx, tumour_cy, radius)
+    distractor = (distractor_cx, distractor_cy, distractor_radius)
+    slices = [
+        make_phantom_slice(size=size, rng=rng, tumour=tumour if i in tumour_slices else None,
+                           distractor=distractor if i in distractor_slices else None)
+        for i in range(n_slices)
+    ]
     truth = {
         "tumour_slices": sorted(tumour_slices),
         "distractor_slices": sorted(distractor_slices),
@@ -148,8 +143,6 @@ def make_phantom_series(
 
 def write_series_pgm(directory, slices):
     """Write a slice stack as slice_000.pgm, slice_001.pgm, ..."""
-    from pathlib import Path
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []

@@ -13,12 +13,12 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .config import DEFAULTS
 from .errors import NoMarkerError, ShapeError
 from .morphology import (
     StructuringElement,
+    _label,
     close_by_reconstruction,
     dilate_mask,
     erode_mask,
@@ -107,8 +107,8 @@ def compute_markers(pre, disk_radius=DEFAULTS.disk_radius) -> MarkerSet:
 
 def _seed_labels(markers: MarkerSet):
     """Label marker components: foreground first, then background, 4-connected."""
-    seeds, n_fg = ndimage.label(markers.foreground, structure=_CROSS)
-    bg_labels, _ = ndimage.label(markers.background, structure=_CROSS)
+    seeds, n_fg = _label(markers.foreground, _CROSS)
+    bg_labels, _ = _label(markers.background, _CROSS)
     background = bg_labels > 0
     seeds[background] = bg_labels[background] + n_fg
     return seeds

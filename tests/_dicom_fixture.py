@@ -21,6 +21,8 @@ _VRS = {
     (0x0028, 0x0011): "US",
     (0x0028, 0x0030): "DS",
     (0x0028, 0x0100): "US",
+    (0x0028, 0x0101): "US",
+    (0x0028, 0x0102): "US",
     (0x0028, 0x0103): "US",
     (0x0028, 0x1052): "DS",
     (0x0028, 0x1053): "DS",
@@ -79,6 +81,8 @@ def build_dicom(
     thickness=None,
     spacing=None,
     pixel_representation=None,
+    bits_stored=None,
+    high_bit=None,
     magic=b"DICM",
     transfer_syntax=None,
     omit=(),
@@ -89,7 +93,9 @@ def build_dicom(
     ``extra_elements`` are raw pre-encoded element bytes appended at the
     very end of the dataset; ``omit`` removes tags by (group, element).
     ``pixel_representation`` 1 writes the tag and stores signed pixels;
-    None leaves the tag out.
+    None leaves the tag out, and so does None for ``bits_stored`` (0028,0101)
+    or ``high_bit`` (0028,0102). ``pixels`` are written as stored, bits
+    above the high bit included.
     """
     ts = transfer_syntax or (TS_EXPLICIT if explicit else TS_IMPLICIT)
     ts_bytes = _even(ts.encode("ascii"), b"\x00")
@@ -107,6 +113,8 @@ def build_dicom(
         (0x0028, 0x0011): cols,
         (0x0028, 0x0030): spacing,
         (0x0028, 0x0100): bits,
+        (0x0028, 0x0101): bits_stored,
+        (0x0028, 0x0102): high_bit,
         (0x0028, 0x0103): pixel_representation,
         (0x0028, 0x1052): intercept,
         (0x0028, 0x1053): slope,

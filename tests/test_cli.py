@@ -3,6 +3,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import nullcontext
@@ -275,6 +276,39 @@ def test_every_public_name_resolves_lazily():
     assert result.returncode == 0, result.stderr
 
 
+def test_import_binds_the_image_processing_submodules():
+    result = _run_python(
+        "import sys\n"
+        "import lungct\n"
+        "for name in ('pipeline', 'preprocess', 'watershed', 'morphology'):\n"
+        "    assert getattr(lungct, name).__name__ == 'lungct.' + name, name\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_train_non_finite_feature_exits_4_without_a_model(tmp_path, capsys):
+    X, y, patient_ids, slice_indices = make_feature_corpus(200, seed=0)
+    X[17, 0], X[140, 0] = np.nan, np.inf
+    rows = [(patient_ids[i], slice_indices[i], *X[i], int(y[i])) for i in range(len(y))]
+    path = tmp_path / "corpus.csv"
+    write_feature_csv(path, rows)
+    model = tmp_path / "m.lctm"
+    assert main(["train", str(path), "--out", str(model)]) == 4
+    assert capsys.readouterr().err.startswith("error: line 19: ")
+    assert not model.exists()
+
+
+def test_train_label_outside_range_names_the_line(tmp_path, capsys):
+    X, y, patient_ids, slice_indices = make_feature_corpus(200, seed=0)
+    rows = [(patient_ids[i], slice_indices[i], *X[i], int(y[i])) for i in range(len(y))]
+    rows[5] = (*rows[5][:5], 2)
+    path = tmp_path / "corpus.csv"
+    write_feature_csv(path, rows)
+    assert main(["train", str(path), "--out", str(tmp_path / "m.lctm")]) == 4
+    assert capsys.readouterr().err == "error: line 7: label must be -1, 0 or 1, got 2\n"
+
+
 def test_train_malformed_csv_exits_4(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("this,is,not\nvalid\n")
@@ -311,6 +345,35 @@ def test_extract_features_malformed_labels_exits_4(phantom_dir, tmp_path):
     labels.write_text("PH001 3,4\n")  # missing colon
     out = tmp_path / "f.csv"
     assert main(["extract-features", str(series_dir), "--labels", str(labels), "--out", str(out)]) == 4
+
+
+@pytest.mark.parametrize("text, message", [
+    ("PH001: 1,500,-2\n", "PH001.*slice index -2, 500 outside 0..5"),
+    ("PH002: 1\n", "no line for patient 'PH001'"),
+    ("PH001: 1\nPH002: 3\nPH001: 2\n", ":3: patient 'PH001' is already listed on line 1"),
+])
+def test_extract_features_labels_that_mislabel_exit_4_before_segmenting(
+        monkeypatch, phantom_dir, tmp_path, capsys, text, message):
+    calls = []
+    monkeypatch.setattr("lungct.pipeline.segment_series", lambda *args, **kwargs: calls.append(args))
+    series_dir, _ = phantom_dir
+    labels = tmp_path / "labels.txt"
+    labels.write_text(text)
+    out = tmp_path / "f.csv"
+    assert main(["extract-features", str(series_dir), "--labels", str(labels), "--out", str(out)]) == 4
+    assert calls == [] and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and re.search(message, err), err
+
+
+def test_extract_features_patient_without_tumour_labels_every_candidate_0(phantom_dir, tmp_path):
+    series_dir, _ = phantom_dir
+    labels = tmp_path / "labels.txt"
+    labels.write_text("OTHER: 1\nPH001:\n")
+    out = tmp_path / "f.csv"
+    assert main(["extract-features", str(series_dir), "--labels", str(labels), "--out", str(out)]) == 0
+    _, y, _, _ = read_feature_csv(out)
+    assert len(y) and (y == 0).all()
 
 
 def test_extract_features_bad_series_exits_2(tmp_path):

@@ -100,6 +100,46 @@ def test_signed_air_windows_to_black():
     assert to_gray8(obj)[0].tolist() == [0, 0]
 
 
+@pytest.mark.parametrize("signed, stored, pixels, expected", [
+    # 12-bit two's complement written without sign extension: -1000 is 0x0C18.
+    (1, 12, (0x0C18, 0x0FFF, 0x0800, 0x07FF), (-1000, -1, -2048, 2047)),
+    # Bits above HighBit are not part of the value, whatever they hold.
+    (1, 12, (-1000, 0x73E8, -0x1000, 0x1800), (-1000, 1000, 0, -2048)),
+    (0, 12, (0xF064, 0x1FFF, 0x0FFF, 0x8000), (100, 4095, 4095, 0)),
+    (0, 1, (0, 1, 2, 3), (0, 1, 0, 1)),
+])
+def test_bits_stored_masks_and_sign_extends(signed, stored, pixels, expected):
+    obj = parse_dicom(build_dicom(**{**BASE, "pixels": pixels}, pixel_representation=signed,
+                                  bits_stored=stored, high_bit=stored - 1))
+    assert obj.pixel_data.tolist() == list(expected)
+    assert obj.pixel_data.dtype == np.dtype("<i2" if signed else "<u2")
+
+
+def test_bits_stored_equal_to_allocated_keeps_pixels():
+    obj = parse_dicom(build_dicom(**{**BASE, "pixels": (-1000, -1, 0, 3000)},
+                                  pixel_representation=1, bits_stored=16, high_bit=15))
+    assert obj.pixel_data.tolist() == [-1000, -1, 0, 3000]
+
+
+def test_signed_12_bit_air_windows_to_black():
+    obj = parse_dicom(build_dicom(**{**BASE, "pixels": (0x0C18,) * 4}, pixel_representation=1,
+                                  bits_stored=12, high_bit=11))
+    assert to_gray8(obj).tolist() == [[0, 0], [0, 0]]
+
+
+@pytest.mark.parametrize("bits, stored", [(16, 0), (16, 17), (8, 9)])
+def test_bits_stored_outside_allocated_is_format_error(bits, stored):
+    with pytest.raises(FormatError, match=f"BitsStored.*{stored}"):
+        parse_dicom(build_dicom(**{**BASE, "bits": bits, "pixels": (0, 1, 2, 3)},
+                                bits_stored=stored))
+
+
+@pytest.mark.parametrize("stored, high_bit", [(12, 15), (12, 12), (None, 11)])
+def test_high_bit_other_than_bits_stored_minus_one_is_unsupported(stored, high_bit):
+    with pytest.raises(UnsupportedError, match=f"HighBit.*{high_bit}"):
+        parse_dicom(build_dicom(**BASE, bits_stored=stored, high_bit=high_bit))
+
+
 def test_bad_pixel_representation_rejected():
     with pytest.raises(FormatError, match="PixelRepresentation"):
         parse_dicom(build_dicom(**BASE, pixel_representation=2))

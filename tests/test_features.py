@@ -152,6 +152,24 @@ def test_csv_roundtrip(tmp_path):
     assert header == ",".join(CSV_HEADER)
 
 
+@pytest.mark.parametrize("cells", [
+    "nan,113.25,92", "1500,inf,92", "1500,113.25,-inf", "NaN,1,2", "1e999,1,2",
+])
+def test_csv_non_finite_feature_rejected_with_line(tmp_path, cells):
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(CSV_HEADER) + f"\nP1,0,1,2,3,0\nP1,1,{cells},1\n")
+    with pytest.raises(ValueError, match="^line 3: .*non-finite"):
+        read_feature_csv(path)
+
+
+@pytest.mark.parametrize("label", ["2", "-2", "10"])
+def test_csv_label_outside_minus_one_to_one_rejected_with_line(tmp_path, label):
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(CSV_HEADER) + f"\nP1,0,1,2,3,-1\nP1,1,1,2,3,{label}\n")
+    with pytest.raises(ValueError, match=f"^line 3: label must be -1, 0 or 1, got {label}$"):
+        read_feature_csv(path)
+
+
 def test_csv_malformed_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("not,a,real,header\n")

@@ -65,6 +65,17 @@ def test_non_finite_geometry_slice_skipped_with_warning(tmp_path):
     assert series.instance_numbers == [1, 2]
 
 
+@pytest.mark.parametrize("layout, match", [
+    (dict(bits_stored=17), "BitsStored"), (dict(bits_stored=12, high_bit=15), "HighBit"),
+])
+def test_bad_bits_stored_slice_skipped_with_warning(tmp_path, layout, match):
+    _write_slices(tmp_path, [("a.dcm", _slice_kwargs(1)), ("b.dcm", _slice_kwargs(2))])
+    (tmp_path / "c.dcm").write_bytes(build_dicom(**_slice_kwargs(3), **layout))
+    with pytest.warns(UserWarning, match=f"c.dcm.*{match}"):
+        series = load_series(tmp_path)
+    assert series.instance_numbers == [1, 2]
+
+
 def test_unreadable_file_skipped_with_warning(tmp_path, monkeypatch):
     _write_slices(tmp_path, [("a.dcm", _slice_kwargs(1)), ("b.dcm", _slice_kwargs(2))])
     read_bytes = Path.read_bytes
