@@ -1,8 +1,6 @@
 """Batch lung-CT tumour detection, segmentation and analysis.
 
-Every public name is bound at import. scipy is not: it loads at the first
-connected-component labelling (``morphology._label``), which only the
-commands that segment reach, so training and evaluation never import it.
+Every public name is bound at import. The runtime needs numpy only.
 """
 
 __version__ = "0.1.0"

@@ -146,7 +146,8 @@ def parse_dicom(
     Raises
     ------
     FormatError
-        Missing "DICM" magic, truncation, or malformed values.
+        Missing "DICM" magic, truncation, malformed values, or Rows or
+        Columns of 0.
     UnsupportedError
         Transfer syntax other than little-endian implicit/explicit VR, a
         HighBit other than BitsStored - 1, or constructs that cannot be
@@ -182,6 +183,8 @@ def parse_dicom(
 
     rows = _decode_us(_require(tags, TAG_ROWS), TAG_ROWS)
     cols = _decode_us(_require(tags, TAG_COLS), TAG_COLS)
+    if rows == 0 or cols == 0:
+        raise FormatError(f"Rows and Columns must be positive, got {rows}x{cols}")
     bits = _decode_us(_require(tags, TAG_BITS_ALLOCATED), TAG_BITS_ALLOCATED)
     if bits not in (8, 16):
         raise UnsupportedError(f"BitsAllocated must be 8 or 16, got {bits}")

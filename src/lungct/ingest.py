@@ -171,11 +171,16 @@ def load_series(
 def _assemble(slices):
     """The series of per-file slices, in (instance number, filename) order.
 
-    Geometry is the first slice's; every slice must share one patient id
-    and one shape.
+    Geometry is the first slice's, with a warning naming the distinct values
+    when the slices disagree; every slice must share one patient id and one
+    shape.
     """
     slices.sort(key=lambda s: s[:2])
     numbers, _, patient_ids, thicknesses, spacings, images = zip(*slices)
+    for name, values in (("slice thickness", thicknesses), ("pixel spacing", spacings)):
+        if len(set(values)) > 1:
+            warnings.warn(f"{name} differs across slices: {sorted(set(values))}; "
+                          f"using {values[0]}", stacklevel=3)
     if len(set(patient_ids)) > 1:
         raise MixedSeriesError(f"multiple patient ids in one directory: {sorted(set(patient_ids))}")
     shapes = {img.shape for img in images}

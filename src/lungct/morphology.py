@@ -29,8 +29,8 @@ are therefore at most 254, so it stays in uint8 too.
 Each public function validates its input once and composes the uint8
 kernels, never the public functions. Every result is a new array.
 
-``_label`` numbers connected components; it is the one place in lungct
-that imports scipy, so only the commands that segment load it.
+``_label`` numbers connected components by union-find over row runs,
+exactly as ``scipy.ndimage.label`` numbers them, so lungct needs no scipy.
 """
 
 import warnings
@@ -40,9 +40,6 @@ import numpy as np
 
 from .errors import EmptyMarkerError
 from .validation import as_bool_mask, as_gray_image, require_same_shape
-
-_FULL_3X3 = np.ones((3, 3), dtype=bool)
-
 
 @dataclass(frozen=True)
 class StructuringElement:
@@ -183,11 +180,51 @@ def close_by_reconstruction(img, se: StructuringElement):
 
 # --- regional extrema ------------------------------------------------------------
 
-def _label(mask, structure):
-    """Connected components of a bool mask under ``structure``: (int32 labels, count)."""
-    from scipy import ndimage  # about 0.4 s to import; train and eval never get here
+def _label(mask, connectivity):
+    """Connected components of a 2-D bool mask: (int32 labels, count).
 
-    return ndimage.label(mask, structure=structure)
+    ``connectivity`` is 4 or 8. Components are numbered 1.. in raster order
+    of their first pixel, as ``scipy.ndimage.label`` numbers them. Run-based
+    two-pass labelling (Rosenfeld & Pfaltz 1966; Wu, Otoo & Suzuki 2009):
+    each row run joins the first run it touches in the row above and merges
+    with the others in a union-find whose roots are the lowest run index,
+    i.e. each component's first run in raster order.
+    """
+    h, w = mask.shape
+    padded = np.zeros((h, w + 2), dtype=bool)
+    padded[:, 1:-1] = mask
+    # Flat indices into the (h, w + 1) row transitions: run starts and
+    # (exclusive) ends alternate, since every padded row opens and closes on 0.
+    edges = np.flatnonzero(padded[:, 1:] != padded[:, :-1])
+    starts, ends = edges[0::2], edges[1::2]
+    n = starts.size
+    # The runs [lo, hi) of the row above that each run touches: w + 1 back is
+    # one row up, and 8-connectivity adds a column of slack for corners.
+    slack = int(connectivity == 8)
+    lo = np.searchsorted(ends, starts - (w + 1) - slack, side="right")
+    hi = np.searchsorted(starts, ends - (w + 1) + slack, side="left")
+    parent = np.where(hi > lo, lo, np.arange(n)).tolist()
+
+    def find(x):  # with path halving
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    merging = np.flatnonzero(hi - lo > 1)
+    for j, first, stop in zip(merging.tolist(), lo[merging].tolist(), hi[merging].tolist()):
+        for i in range(first + 1, stop):
+            a, b = find(i), find(j)
+            parent[max(a, b)] = min(a, b)
+    # Every parent precedes its run, so pointer jumping ends at the roots.
+    root = np.array(parent, dtype=np.intp)
+    while not np.array_equal(up := root[root], root):
+        root = up
+    is_root = root == np.arange(n)
+    values = np.zeros(2 * n + 1, dtype=np.int32)  # gap, run, gap, ..., run, gap
+    values[1::2] = np.cumsum(is_root, dtype=np.int32)[root]
+    bounds = edges - edges // (w + 1)  # the edges in the flat (h, w) layout
+    labels = np.repeat(values, np.diff(bounds, prepend=0, append=h * w))
+    return labels.reshape(h, w), int(is_root.sum())
 
 
 def _regional_maxima(arr):
@@ -207,7 +244,7 @@ def _regional_maxima(arr):
     lower = arr + 1
     lower[top] = 0
     leaks = top & (_max3x3(lower, np.empty_like(arr), tmp) > arr)
-    labels, n = _label(top, _FULL_3X3)
+    labels, n = _label(top, 8)
     leaky = np.zeros(n + 1, dtype=bool)
     leaky[labels[leaks]] = True
     return top & ~leaky[labels]

@@ -29,9 +29,6 @@ from .morphology import (
 )
 from .validation import as_bool_mask, as_gray_image
 
-# The flood and the basin/ridge topology are 4-connected so each basin is
-# a single 4-connected component; extrema detection above stays 8-connected.
-_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _SQUARE = StructuringElement(1, tuple((dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)))
 _BORDER, _UNQUEUED, _QUEUED = -2, -1, -3  # flood states of pixels without a label
 
@@ -106,9 +103,13 @@ def compute_markers(pre, disk_radius=DEFAULTS.disk_radius) -> MarkerSet:
 
 
 def _seed_labels(markers: MarkerSet):
-    """Label marker components: foreground first, then background, 4-connected."""
-    seeds, n_fg = _label(markers.foreground, _CROSS)
-    bg_labels, _ = _label(markers.background, _CROSS)
+    """Label marker components: foreground first, then background.
+
+    4-connected, like the flood and the basin/ridge topology, so each basin
+    is a single 4-connected component; extrema detection stays 8-connected.
+    """
+    seeds, n_fg = _label(markers.foreground, 4)
+    bg_labels, _ = _label(markers.background, 4)
     background = bg_labels > 0
     seeds[background] = bg_labels[background] + n_fg
     return seeds

@@ -263,6 +263,21 @@ def test_train_and_eval_never_import_scipy(corpus_csv, tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def test_analyze_and_extract_features_never_import_scipy(phantom_dir, model_file, tmp_path):
+    series_dir, _ = phantom_dir
+    result = _run_python(
+        "import sys\n"
+        "from lungct.cli import main\n"
+        "assert main(['analyze', sys.argv[1], '--model', sys.argv[2], '--out', sys.argv[3],\n"
+        "             '--threads', '1']) == 0\n"
+        "assert main(['extract-features', sys.argv[1], '--out', sys.argv[4], '--threads', '1']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n",
+        series_dir, model_file, tmp_path / "out", tmp_path / "features.csv",
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "out" / "PH001" / "report.json").exists()
+
+
 def test_every_public_name_resolves_lazily():
     result = _run_python(
         "import sys\n"

@@ -200,6 +200,12 @@ def test_unsupported_bits_allocated():
                                 patient_id="A", instance=1, thickness=5.0))
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 2), (2, 0)])
+def test_zero_rows_or_columns_is_format_error(rows, cols):
+    with pytest.raises(FormatError, match=f"Rows and Columns must be positive, got {rows}x{cols}"):
+        parse_dicom(build_dicom(**{**BASE, "rows": rows, "cols": cols, "pixels": ()}))
+
+
 def test_nonpositive_thickness_rejected():
     with pytest.raises(FormatError):
         parse_dicom(build_dicom(**{**BASE, "thickness": 0.0}))

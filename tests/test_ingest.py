@@ -76,6 +76,15 @@ def test_bad_bits_stored_slice_skipped_with_warning(tmp_path, layout, match):
     assert series.instance_numbers == [1, 2]
 
 
+def test_zero_size_slice_skipped_with_warning(tmp_path):
+    _write_slices(tmp_path, [("a.dcm", _slice_kwargs(1)), ("b.dcm", _slice_kwargs(2))])
+    (tmp_path / "c.dcm").write_bytes(build_dicom(**{**_slice_kwargs(3), "rows": 0, "cols": 0,
+                                                    "pixels": ()}))
+    with pytest.warns(UserWarning, match="c.dcm.*0x0"):
+        series = load_series(tmp_path)
+    assert series.instance_numbers == [1, 2]
+
+
 def test_unreadable_file_skipped_with_warning(tmp_path, monkeypatch):
     _write_slices(tmp_path, [("a.dcm", _slice_kwargs(1)), ("b.dcm", _slice_kwargs(2))])
     read_bytes = Path.read_bytes
@@ -123,6 +132,23 @@ def test_inconsistent_dimensions_rejected(tmp_path):
     ])
     with pytest.raises(SeriesShapeError):
         load_series(tmp_path)
+
+
+@pytest.mark.parametrize("field, values, match", [
+    ("thickness", (1.25, 2.5, 1.25), r"slice thickness differs across slices: \[1.25, 2.5\]; using 1.25"),
+    ("spacing", ((0.8, 0.8), (0.8, 0.8), (0.7, 0.9)),
+     r"pixel spacing differs across slices: \[\(0.7, 0.9\), \(0.8, 0.8\)\]; using \(0.8, 0.8\)"),
+], ids=["thickness", "spacing"])
+def test_geometry_that_differs_across_slices_warns_and_keeps_the_first(tmp_path, field, values,
+                                                                        match):
+    _write_slices(tmp_path, [
+        (f"{i}.dcm", {**_slice_kwargs(i), field: value}) for i, value in enumerate(values, 1)
+    ])
+    with pytest.warns(UserWarning, match=match):
+        series = load_series(tmp_path)
+    assert series.slice_thickness_mm == (values[0] if field == "thickness" else 4.0)
+    assert series.pixel_spacing_mm == (values[0] if field == "spacing" else (0.8, 0.8))
+    assert series.instance_numbers == [1, 2, 3]
 
 
 # Signed 16-bit CT with air stored as -1000, and 8-bit slices whose odd

@@ -7,6 +7,7 @@ from scipy import ndimage
 from lungct.errors import EmptyMarkerError, ShapeError
 from lungct.morphology import (
     StructuringElement,
+    _label,
     close_by_reconstruction,
     close_image,
     dilate,
@@ -273,6 +274,79 @@ def test_close_by_reconstruction_matches_oracle(rng):
     marker = naive_dilate(img, se)
     oracle = iterate_reconstruct_erosion(marker, img).astype(np.uint8)
     assert np.array_equal(close_by_reconstruction(img, se), oracle)
+
+
+# --- connected-component labelling (scipy is the reference) ------------------------
+
+_STRUCTURE = {4: ndimage.generate_binary_structure(2, 1), 8: np.ones((3, 3), dtype=bool)}
+
+
+def _assert_labels_like_scipy(mask, connectivity):
+    labels, n = _label(mask, connectivity)
+    expected, expected_n = ndimage.label(mask, structure=_STRUCTURE[connectivity])
+    assert (labels.dtype, labels.shape, n) == (np.int32, mask.shape, expected_n)
+    np.testing.assert_array_equal(labels, expected)
+    return labels, n
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_label_matches_scipy_on_random_masks(connectivity):
+    rng = np.random.default_rng(1966)
+    for _ in range(1500):
+        h, w = rng.integers(1, 30, size=2)
+        _assert_labels_like_scipy(rng.random((h, w)) < rng.random(), connectivity)
+
+
+_CHECKERBOARD = (np.indices((6, 7)).sum(axis=0) % 2).astype(bool)
+_DIAGONALS = np.array([[0, 0, 0, 1], [1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=bool)
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+@pytest.mark.parametrize("mask, counts", [
+    (np.zeros((5, 7), dtype=bool), (0, 0)),
+    (np.ones((5, 7), dtype=bool), (1, 1)),
+    (np.array([[1, 1, 0, 1, 0, 0, 1]], dtype=bool), (3, 3)),
+    (np.array([[1], [1], [0], [1], [0], [0], [1]], dtype=bool), (3, 3)),
+    (np.ones((1, 1), dtype=bool), (1, 1)),
+    (np.zeros((1, 1), dtype=bool), (0, 0)),
+    (_CHECKERBOARD, (21, 1)),
+    (_DIAGONALS, (5, 2)),
+], ids=["empty", "full", "one-row", "one-column", "1x1", "1x1-empty", "checkerboard",
+        "diagonal-touches"])
+def test_label_edge_cases_match_scipy(mask, counts, connectivity):
+    _, n = _assert_labels_like_scipy(mask, connectivity)
+    assert n == counts[connectivity == 8]
+
+
+def test_label_numbers_components_in_raster_order_of_their_first_pixel():
+    # The run at (0, 2) starts a tree of its own and joins the first
+    # component only on row 2, so it must not use up a number.
+    mask = np.array([[1, 0, 1, 0, 1],
+                     [1, 0, 1, 0, 0],
+                     [1, 1, 1, 0, 1]], dtype=bool)
+    expected = np.array([[1, 0, 1, 0, 2],
+                         [1, 0, 1, 0, 0],
+                         [1, 1, 1, 0, 3]])
+    for connectivity in (4, 8):
+        labels, n = _assert_labels_like_scipy(mask, connectivity)
+        assert n == 3 and np.array_equal(labels, expected)
+    labels, n = _assert_labels_like_scipy(_DIAGONALS, 4)
+    assert n == 5 and np.array_equal(labels, [[0, 0, 0, 1], [2, 0, 3, 0], [0, 4, 0, 0],
+                                              [0, 0, 0, 5]])
+    labels, n = _assert_labels_like_scipy(_DIAGONALS, 8)
+    assert n == 2 and np.array_equal(labels, [[0, 0, 0, 1], [1, 0, 1, 0], [0, 1, 0, 0],
+                                              [0, 0, 0, 2]])
+
+
+def test_label_matches_scipy_on_the_masks_a_phantom_slice_labels():
+    slices, _ = make_phantom_series(
+        n_slices=2, size=512, tumour_slices=(1,), distractor_slices=(0,), seed=25
+    )
+    for original in slices:
+        markers = compute_markers(preprocess_slice(original))
+        for mask in (markers.foreground, markers.background, regional_maxima(original)):
+            for connectivity in (4, 8):
+                _assert_labels_like_scipy(mask, connectivity)
 
 
 # --- regional extrema ------------------------------------------------------------------
