@@ -38,14 +38,28 @@ def to_gray8(obj: DicomObject, window_center=DEFAULTS.window_center,
     Stored value v maps to ``hu = v * slope + intercept``, then the window
     [center - width/2, center + width/2] maps linearly onto [0, 255] with
     clamping. Rounding is half away from zero.
+
+    The formula runs once per stored value in the slice's [min, max] range,
+    a table of at most 65 536 entries for 8- and 16-bit data, and the pixels
+    index that table. The table never outgrows the slice: when the range is
+    wider than the pixel count, the formula runs on the pixels themselves.
     """
     check("window_center", window_center)
     check("window_width", window_width)
-    hu = obj.pixel_data.astype(np.float64) * obj.rescale_slope + obj.rescale_intercept
     low = window_center - window_width / 2.0
-    scaled = 255.0 * (hu - low) / window_width
-    out = np.clip(round_half_away(scaled), 0, 255).astype(np.uint8)
-    return out.reshape(obj.rows, obj.cols)
+
+    def gray(stored):
+        hu = stored.astype(np.float64) * obj.rescale_slope + obj.rescale_intercept
+        return np.clip(round_half_away(255.0 * (hu - low) / window_width), 0, 255).astype(np.uint8)
+
+    pixels = obj.pixel_data
+    if pixels.size and pixels.dtype.kind in "iu":
+        first, last = int(pixels.min()), int(pixels.max())
+        if last - first < pixels.size:
+            # intp: an int16 pixel minus a negative minimum can overflow int16.
+            table = gray(np.arange(first, last + 1))
+            return table[np.subtract(pixels, first, dtype=np.intp)].reshape(obj.rows, obj.cols)
+    return gray(pixels).reshape(obj.rows, obj.cols)
 
 
 # --- PGM fallback -------------------------------------------------------------

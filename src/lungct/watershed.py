@@ -197,7 +197,7 @@ def candidate_masks(labels, markers: MarkerSet):
     ridge = labels == 0
     claimed = np.zeros(labels.shape, dtype=bool)
     masks = []
-    for basin_id in np.unique(labels[markers.foreground]).tolist():
+    for basin_id in np.flatnonzero(np.bincount(labels[markers.foreground])).tolist():
         basin = labels == basin_id
         if basin_id == 0 or (basin & markers.background).any():
             continue

@@ -249,6 +249,32 @@ def test_window_monotone(rng):
     assert np.all(np.diff(flat.astype(int)) >= 0)
 
 
+def _formula_gray8(stored, slope, intercept, center, width):
+    """The window formula on each value, rounding halves away from zero."""
+    scaled = 255.0 * (stored.astype(np.float64) * slope + intercept - (center - width / 2.0)) / width
+    return np.clip(np.sign(scaled) * np.floor(np.abs(scaled) + 0.5), 0, 255).astype(np.uint8)
+
+
+@pytest.mark.parametrize("dtype", [np.uint16, np.int16])
+@pytest.mark.parametrize("slope, intercept, center, width", [
+    (1.5, -1024.0, -300.0, 1400.0), (0.37, -3000.0, 40.0, 80.0), (-2.25, -7.5, -1000.0, 3.0),
+])
+def test_window_matches_the_formula_on_every_16_bit_stored_value(dtype, slope, intercept,
+                                                                center, width, rng):
+    info = np.iinfo(dtype)
+    stored = rng.permutation(np.arange(info.min, info.max + 1)).astype(dtype)
+    obj = _obj(stored, slope=slope, intercept=intercept, rows=256, cols=256)
+    obj.pixel_data = stored  # the stored 16-bit dtype, not _obj's int32
+    expected = _formula_gray8(stored, slope, intercept, center, width).reshape(256, 256)
+    assert np.array_equal(to_gray8(obj, center, width), expected)
+    # A range wider than the slice: the formula runs on the pixels themselves.
+    few = stored[:100]
+    obj = _obj(few, slope=slope, intercept=intercept, rows=10, cols=10)
+    obj.pixel_data = few
+    assert np.array_equal(to_gray8(obj, center, width),
+                          _formula_gray8(few, slope, intercept, center, width).reshape(10, 10))
+
+
 @pytest.mark.parametrize("tags", [
     dict(thickness="nan"), dict(thickness="inf"), dict(spacing=("inf", "1")),
     dict(slope="nan"), dict(slope="1e999"), dict(intercept="-inf"), dict(intercept="Infinity"),

@@ -8,6 +8,8 @@ from lungct.errors import EmptyMarkerError, ShapeError
 from lungct.morphology import (
     StructuringElement,
     _label,
+    _max_filter,
+    _reconstruct,
     close_by_reconstruction,
     close_image,
     dilate,
@@ -70,6 +72,18 @@ def test_disk_negative_radius_rejected():
         make_disk(-1)
 
 
+@pytest.mark.parametrize("offsets", [
+    ((0, 0), (2, 0)),             # a gap between the run and dx = 2
+    ((0, 0), (1, 0)),             # one-sided row
+    ((-1, 1), (0, 0), (0, 1)),    # one-sided row away from the origin
+    ((0, 0), (0, 2)),             # row beyond the radius
+    ((-2, 0), (-1, 0), (0, 0), (1, 0), (2, 0)),  # run wider than the radius
+], ids=["gap", "one-sided", "one-sided-off-origin", "row-beyond-radius", "run-beyond-radius"])
+def test_structuring_element_rows_must_be_symmetric_runs_within_radius(offsets):
+    with pytest.raises(ValueError, match="symmetric about dx=0"):
+        StructuringElement(1, offsets)
+
+
 # --- erosion / dilation -----------------------------------------------------------
 
 def test_dilate_impulse_response():
@@ -119,6 +133,20 @@ def test_dilate_mask_matches_binary_dilation(se, rng):
         assert out.dtype == bool
         assert np.array_equal(out, ndimage.binary_dilation(mask, structure=footprint, border_value=0))
         assert np.array_equal(mask, before)
+
+
+@pytest.mark.parametrize("se", [make_disk(r) for r in range(10)] + [_SQUARE_3X3],
+                         ids=[f"disk{r}" for r in range(10)] + ["square3x3"])
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (7, 40), (19, 23)])
+def test_max_filter_matches_naive_oracle_on_every_disk_and_tiny_images(se, shape, rng):
+    # Images narrower or shorter than the element exercise the row spans
+    # that leave the image and the element rows that miss it entirely.
+    gray = rng.integers(0, 256, shape).astype(np.uint8)
+    assert np.array_equal(_max_filter(gray, se), naive_dilate(gray, se))
+    mask = rng.random(shape) < 0.1
+    out = _max_filter(mask, se)
+    assert out.dtype == bool
+    assert np.array_equal(out, naive_dilate(mask, se).astype(bool))
 
 
 # --- opening / closing -------------------------------------------------------------
@@ -215,6 +243,34 @@ def test_reconstruction_matches_iterative_oracle_on_non_square_images(shape, rng
                               iterate_reconstruct_dilation(low, a).astype(np.uint8))
         assert np.array_equal(reconstruct_by_erosion(high, a),
                               iterate_reconstruct_erosion(high, a).astype(np.uint8))
+
+
+def _serpentine(h, w, rng):
+    """A corridor mask (1..255 inside, 0 on the walls) winding down the rows."""
+    mask = rng.integers(1, 256, (h, w)).astype(np.uint8)
+    for y in range(2, h, 4):
+        mask[y] = 0
+        gap = w - 1 if y % 8 == 2 else 0  # the gap alternates right, left, ...
+        mask[y, gap] = rng.integers(1, 256)
+    return mask
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["rows", "columns"])
+def test_reconstruction_front_crossing_a_serpentine_matches_iterative_oracle(transpose, rng):
+    # The front enters at one corner and winds through every corridor, so
+    # the region that can still change grows, shrinks and moves across the
+    # whole image; a second seed mid-way starts a second front.
+    mask = _serpentine(41, 37, rng)
+    marker = np.zeros_like(mask)
+    marker[0, 0] = mask[0, 0]
+    marker[20, 18] = mask[20, 18] // 2
+    if transpose:
+        mask, marker = mask.T.copy(), marker.T.copy()
+    expected = iterate_reconstruct_dilation(marker, mask).astype(np.uint8)
+    assert np.array_equal(_reconstruct(marker, mask), expected)
+    assert np.array_equal(reconstruct_by_dilation(marker, mask), expected)
+    assert np.array_equal(reconstruct_by_erosion(255 - marker, 255 - mask), 255 - expected)
+    assert expected[-1].any() and expected[:, -1].any()  # the front crossed the image
 
 
 def test_reconstruction_by_erosion_is_complement_dual(rng):

@@ -1,9 +1,15 @@
 """Marker computation, the flood itself, and candidate extraction."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import ndimage
 
+import lungct
 from lungct.config import DEFAULTS
 from lungct.errors import NoMarkerError, ShapeError
 from lungct.phantom import make_phantom_series
@@ -377,3 +383,21 @@ def test_extract_half_plane(rng):
 def test_extract_shape_mismatch():
     with pytest.raises(ShapeError):
         extract_region(np.zeros((4, 4), dtype=np.uint8), np.zeros((5, 5), bool))
+
+
+def test_analyzing_a_slice_does_not_import_numpy_ma():
+    # numpy.ma costs about 16 ms to import, once per process and once per
+    # pool worker; np.unique is one function that pulls it in.
+    code = (
+        "import sys\n"
+        "from lungct.config import PipelineConfig\n"
+        "from lungct.phantom import make_phantom_series\n"
+        "from lungct.pipeline import analyze_slice\n"
+        "slices, _ = make_phantom_series(n_slices=1, size=256, tumour_slices=(0,), seed=1)\n"
+        "assert analyze_slice(slices[0], PipelineConfig())\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(lungct.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "False"
