@@ -57,24 +57,8 @@ class Xorshift64Star:
     def __init__(self, seed):
         self.state = (int(seed) & _MASK64) or self._ZERO_STATE
 
-    def next_u64(self):
-        x = self.state
-        x ^= (x >> 12)
-        x = (x ^ (x << 25)) & _MASK64
-        x ^= (x >> 27)
-        self.state = x
-        return (x * self._MULT) & _MASK64
-
-    def below(self, n):
-        return self.next_u64() % n
-
-    def below_many(self, n, count):
-        """``count`` successive ``below(n)`` draws as one int64 array.
-
-        The recurrence runs on a local variable rather than through
-        ``next_u64``; the draws, and the state left behind, are those of
-        ``count`` calls to ``below(n)``.
-        """
+    def _advance(self, count):
+        """Step the state ``count`` times and return the ``count`` states it passed."""
         x, mask = self.state, _MASK64
         states = [0] * count
         for i in range(count):
@@ -83,8 +67,22 @@ class Xorshift64Star:
             x ^= x >> 27
             states[i] = x
         self.state = x
+        return states
+
+    def next_u64(self):
+        return (self._advance(1)[0] * self._MULT) & _MASK64
+
+    def below(self, n):
+        return self.next_u64() % n
+
+    def below_many(self, n, count):
+        """``count`` successive ``below(n)`` draws as one int64 array.
+
+        The draws, and the state left behind, are those of ``count`` calls
+        to ``below(n)``.
+        """
         # uint64 products wrap, which is the generator's multiply mod 2**64.
-        out = np.array(states, dtype=np.uint64) * np.uint64(self._MULT)
+        out = np.array(self._advance(count), dtype=np.uint64) * np.uint64(self._MULT)
         return (out % np.uint64(n)).astype(np.int64)
 
     def uniform(self):

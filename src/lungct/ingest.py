@@ -125,11 +125,16 @@ def load_series(
     slice format (ordered by filename, patient id = resolved directory name).
     The default thickness and spacing (typically the config's) stand in for
     geometry a slice lacks: always for PGM, per missing tag for DICOM.
+    Defaults outside the config's ranges raise ValueError before any file
+    is read.
 
     Unreadable files are skipped with a warning; an unreadable directory
     raises EmptySeriesError. A window ``to_gray8`` rejects raises at the
     first DICOM slice.
     """
+    thickness = check("slice_thickness_mm", float(default_thickness_mm))
+    spacing = (check("pixel_spacing_row_mm", float(default_spacing_mm[0])),
+               check("pixel_spacing_col_mm", float(default_spacing_mm[1])))
     directory = Path(directory)
     if not directory.is_dir():
         raise EmptySeriesError(f"{directory} is not a directory")
@@ -138,8 +143,7 @@ def load_series(
         paths = sorted(p for p in directory.iterdir() if p.is_file())
     except OSError as exc:
         raise EmptySeriesError(f"cannot list {directory}: {exc}") from exc
-    pgm_fields = (directory.resolve().name, float(default_thickness_mm),
-                  (float(default_spacing_mm[0]), float(default_spacing_mm[1])))
+    pgm_fields = (directory.resolve().name, thickness, spacing)
     # Per file: (instance number, filename, patient id, thickness, spacing, gray8 slice).
     dicoms = []
     pgms = []
@@ -151,7 +155,7 @@ def load_series(
             continue
         if _looks_like_dicom(data):
             try:
-                obj = parse_dicom(data, default_thickness_mm, default_spacing_mm)
+                obj = parse_dicom(data, thickness, spacing)
             except Exception as exc:  # noqa: BLE001 - tolerate junk neighbours
                 warnings.warn(f"skipping {path.name}: {exc}", stacklevel=2)
                 continue

@@ -3,30 +3,33 @@
 Disk structuring elements, erosion/dilation and their compositions,
 geodesic reconstruction, regional extrema and minima imposition. All
 operators treat the image border by shrinking the neighborhood: pixels
-outside the image simply do not participate. Where a kernel pads, it pads
-with 0, the identity of max on uint8 and bool, which amounts to the same.
+outside the image simply do not participate. The kernel pads with 0, the
+identity of max on uint8 and bool, which amounts to the same.
 
 Only the max side is implemented, and it runs on the uint8 image itself:
-one disk max filter, one separable 3x3 max filter and one geodesic-dilation
-fixpoint loop (Vincent 1993). Every min-based operator is its exact dual
-under the order-reversing complement ``~x = 255 - x`` (``not x`` on bool
-masks): ``min(f) = ~max(~f)``. The complement maps [0, 255] onto itself,
-and every iterate of a reconstruction stays between its marker and its
-mask, so no image ever leaves uint8.
+one neighbourhood-max kernel, ``_fold``, and one geodesic-dilation
+fixpoint loop (Vincent 1993) built on it. Every min-based operator is its
+exact dual under the order-reversing complement ``~x = 255 - x`` (``not x``
+on bool masks): ``min(f) = ~max(~f)``. The complement maps [0, 255] onto
+itself, and every iterate of a reconstruction stays between its marker and
+its mask, so no image ever leaves uint8.
 
-The disk filter and the fixpoint loop run on the zero-padded image as one
-flat raster, so every pass is one contiguous numpy operation; on a 2-D
-view whose rows are not contiguous, numpy pays per row, about four times
-as much per pixel on a 512x512 slice.
+``_fold`` works on the image framed by zeros as one flat raster, so every
+pass is one contiguous numpy operation; on a 2-D view whose rows are not
+contiguous, numpy pays per row, about four times as much per pixel on a
+512x512 slice. The disk filter, the reconstruction step and the regional
+maxima all call it.
 
-The disk filter decomposes the element into its rows. Each row ``dy`` is
-one run ``-k..k`` of offsets, so its max is the running max of the image
-row over ``[-k, k]`` read ``dy`` rows away. The running maxima for
-k = 1..radius take two passes each (each widens the last by one pixel on
-either side), and each element row adds one pass: 33 passes for radius 8
-instead of one per offset (196). Max is associative and commutative, so
-regrouping the offsets this way gives the same value bit for bit, and the
-padding is ``radius`` columns wide, so no shift reaches the next row.
+The kernel decomposes the element into its rows. Each row ``dy`` is one
+run ``-k..k`` of offsets, so its max is the running max of the image row
+over ``[-k, k]`` read ``dy`` rows away. The running maxima for k = 1..radius
+take two passes each (each widens the last by one pixel on either side),
+and the element rows one pass each, the first two sharing one: 32 passes
+for radius 8 instead of one per offset (196). Max is associative and
+commutative, so regrouping the offsets this way gives the same value bit
+for bit, and the frame is ``radius`` columns wide, so no shift reaches the
+next row. One scratch buffer holds the running max, widened in place:
+rows are folded narrowest first, so a narrower span is never read again.
 
 The reconstruction step ``min(max3x3(cur), mask)`` is recomputed only on
 the rows that can still change: the rows that changed in the last step,
@@ -57,6 +60,8 @@ exactly as ``scipy.ndimage.label`` numbers them, so lungct needs no scipy.
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -111,35 +116,50 @@ def make_disk(radius: int) -> StructuringElement:
     return StructuringElement(radius=radius, offsets=offsets)
 
 
-def _max_filter(arr, se):
-    """Shrinking-border max filter over the structuring element (uint8 or bool).
+_SQUARE = StructuringElement(1, tuple((dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)))
 
-    Works on the image padded with ``radius`` zero columns on each side, as
-    one flat raster: a shift of at most ``radius`` pixels stays in its row.
-    ``span`` is the running max of each row over ``[-k, k]``, widened one
-    step of k at a time; each element row ``(k, dy)`` folds ``span``,
-    shifted by ``dy`` rows, into the result.
+
+def _fold(flat, width, se, lo, hi, out, span):
+    """Write into ``out[lo:hi]`` the max of ``flat`` over ``se`` and return that view.
+
+    ``flat`` is a raster ``width`` pixels wide whose rows carry at least
+    ``se.radius`` zero columns at either end, with ``se.radius`` rows above
+    ``lo`` and below ``hi`` (zero outside the image). Pixels in the frame
+    columns of ``out[lo:hi]`` get values the caller must discard; ``out``
+    outside ``lo:hi`` is not written. ``span`` is scratch the size of
+    ``flat``; neither it nor ``out`` may overlap ``flat``.
     """
+    r = se.radius
+    a, b = lo - r * width, hi + r * width
+    step = out[lo:hi]
+    src, k = flat, 0
+    for n, (half, rows) in enumerate(groupby(se.rows, key=itemgetter(0))):
+        while k < half:  # the running row max over [-k, k] on rows a:b, widened in place
+            k += 1
+            np.maximum(src[a + k : b], flat[a : b - k], out=span[a + k : b])
+            span[a : a + k] = src[a : a + k]  # frame pixels, kept defined
+            np.maximum(span[a : b - k], flat[a + k : b], out=span[a : b - k])
+            src = span
+        views = [src[lo + dy * width : hi + dy * width] for _, dy in rows]
+        if n == 0:  # the first two rows in one pass; max(v, v) = v if there is one
+            np.maximum(views[0], views[-1], out=step)
+            views = views[1:-1]
+        for view in views:
+            np.maximum(step, view, out=step)
+    return step
+
+
+def _max_filter(arr, se):
+    """Shrinking-border max filter over the structuring element (uint8 or bool)."""
     h, w = arr.shape
     r = se.radius
     width = w + 2 * r
-    padded = np.zeros((h, width), dtype=arr.dtype)
-    padded[:, r : r + w] = arr
-    flat = padded.reshape(-1)
-    out = np.zeros_like(flat)
-    span, k = flat, 0
-    for half, dy in se.rows:
-        while k < half:
-            k += 1
-            wider = np.empty_like(flat)
-            np.maximum(span[k:], flat[:-k], out=wider[k:])
-            wider[:k] = span[:k]  # padding, kept defined
-            np.maximum(wider[:-k], flat[k:], out=wider[:-k])
-            span = wider
-        if abs(dy) < h:  # out row y reads span row y + dy wherever both lie in the image
-            a, b, n = max(-dy, 0) * width, max(dy, 0) * width, out.size
-            np.maximum(out[a : n - b], span[b : n - a], out=out[a : n - b])
-    return out.reshape(h, width)[:, r : r + w].copy()
+    framed = np.zeros((h + 2 * r, width), dtype=arr.dtype)
+    framed[r : r + h, r : r + w] = arr
+    flat = framed.reshape(-1)
+    out = np.empty_like(flat)
+    _fold(flat, width, se, r * width, (r + h) * width, out, np.empty_like(flat))
+    return out.reshape(-1, width)[r : r + h, r : r + w].copy()
 
 
 def _min_filter(arr, se):
@@ -168,57 +188,33 @@ def close_image(img, se: StructuringElement):
 
 # --- geodesic reconstruction ---------------------------------------------------
 
-def _max3x3(src, out, tmp):
-    """Write into ``out`` the max of ``src`` over each pixel's 3x3 neighbourhood.
-
-    A row pass (left and right neighbours) into ``tmp``, then a column pass
-    on it. Slicing leaves out-of-image pixels out, so the border shrinks.
-    ``out`` and ``tmp`` must not overlap ``src`` or each other.
-    """
-    np.maximum(src[:, 1:], src[:, :-1], out=tmp[:, 1:])
-    tmp[:, 0] = src[:, 0]
-    np.maximum(tmp[:, :-1], src[:, 1:], out=tmp[:, :-1])
-    np.maximum(tmp[1:], tmp[:-1], out=out[1:])
-    out[0] = tmp[0]
-    np.maximum(out[:-1], tmp[1:], out=out[:-1])
-    return out
-
-
 def _reconstruct(marker, mask):
     """Iterate 8-connected geodesic dilation of ``marker`` under ``mask`` to the fixpoint.
 
     Works on both images framed by zeros, as flat rasters; the frame stays 0
-    because its mask is 0, and its two rows at either end keep every read
-    inside the array. Each step recomputes only the rows ``y0:y1`` that can
-    still change: the last step's changed rows, grown by one.
+    because its mask is 0. Each step recomputes only the rows ``y0:y1``
+    that can still change: the last step's changed rows, grown by one.
     """
     h, w = marker.shape
     width = w + 2
-    cur = np.zeros((h + 4, width), dtype=marker.dtype)
-    cur[2:-2, 1:-1] = marker
+    cur = np.zeros((h + 2, width), dtype=marker.dtype)
+    cur[1:-1, 1:-1] = marker
     limit = np.zeros_like(cur)
-    limit[2:-2, 1:-1] = mask
+    limit[1:-1, 1:-1] = mask
     cur_f, limit_f = cur.reshape(-1), limit.reshape(-1)
-    row_max, new = np.empty_like(cur_f), np.empty_like(cur_f)
+    new, span = np.empty_like(cur_f), np.empty_like(cur_f)
     changed = np.empty(cur_f.size, dtype=bool)
-    y0, y1 = 2, h + 2
+    y0, y1 = 1, h + 1
     while True:
         lo, hi = y0 * width, y1 * width
-        # 3x3 max: a row pass over the rows y0 - 1 .. y1, then a column pass.
-        near = slice(lo - width, hi + width)
-        np.maximum(cur_f[near.start - 1 : near.stop - 1], cur_f[near.start + 1 : near.stop + 1],
-                   out=row_max[near])
-        np.maximum(row_max[near], cur_f[near], out=row_max[near])
-        step = new[lo:hi]
-        np.maximum(row_max[lo - width : hi - width], row_max[lo + width : hi + width], out=step)
-        np.maximum(step, row_max[lo:hi], out=step)
+        step = _fold(cur_f, width, _SQUARE, lo, hi, new, span)
         np.minimum(step, limit_f[lo:hi], out=step)
         diff = np.not_equal(step, cur_f[lo:hi], out=changed[lo:hi])
         moved = np.flatnonzero(diff.reshape(-1, width).any(axis=1))
         if not moved.size:
-            return cur[2:-2, 1:-1].copy()
+            return cur[1:-1, 1:-1].copy()
         cur_f[lo:hi] = step
-        y0, y1 = max(y0 + int(moved[0]) - 1, 2), min(y0 + int(moved[-1]) + 2, h + 2)
+        y0, y1 = max(y0 + int(moved[0]) - 1, 1), min(y0 + int(moved[-1]) + 2, h + 1)
 
 
 def _marker_and_mask(marker, mask):
@@ -322,15 +318,14 @@ def _regional_maxima(arr):
     ``top`` has a brighter neighbour, so it is at most 254 and ``lower``
     fits in uint8.
     """
-    tmp = np.empty_like(arr)
-    top = _max3x3(arr, np.empty_like(arr), tmp) <= arr
+    top = _max_filter(arr, _SQUARE) <= arr
     lower = arr + 1
     lower[top] = 0
-    leaks = top & (_max3x3(lower, np.empty_like(arr), tmp) > arr)
+    leaks = top & (_max_filter(lower, _SQUARE) > arr)
     labels, n = _label(top, 8)
     leaky = np.zeros(n + 1, dtype=bool)
     leaky[labels[leaks]] = True
-    return top & ~leaky[labels]
+    return top & ~np.take(leaky, labels)
 
 
 def regional_maxima(img):

@@ -47,7 +47,7 @@ def remap_intensity(img, band_lo=DEFAULTS.band_lo, band_hi=DEFAULTS.band_hi):
     """Step the [band_lo, band_hi] range up to 210..230, everything else down to 10..30."""
     check_band(band_lo, band_hi)
     img = as_gray_image(img)
-    return _remap_lut(band_lo, band_hi)[img]
+    return np.take(_remap_lut(band_lo, band_hi), img)
 
 
 def apply_central_strip(img, width_fraction=DEFAULTS.strip_width_fraction,

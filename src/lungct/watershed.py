@@ -17,7 +17,7 @@ import numpy as np
 from .config import DEFAULTS
 from .errors import NoMarkerError, ShapeError
 from .morphology import (
-    StructuringElement,
+    _SQUARE,
     _label,
     close_by_reconstruction,
     dilate_mask,
@@ -29,7 +29,6 @@ from .morphology import (
 )
 from .validation import as_bool_mask, as_gray_image
 
-_SQUARE = StructuringElement(1, tuple((dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)))
 _BORDER, _UNQUEUED, _QUEUED = -2, -1, -3  # flood states of pixels without a label
 
 BORDER_EROSION_RADIUS = 2  # the dark area shrinks by this disk before it marks background

@@ -190,6 +190,22 @@ def test_pgm_series_fallback(tmp_path):
     assert np.array_equal(series.slices[1], imgs[1])
 
 
+@pytest.mark.parametrize("thickness, spacing, match", [
+    (-2.0, (0.7, 0.9), "slice_thickness_mm must be > 0, got -2.0"),
+    (float("nan"), (0.7, 0.9), "slice_thickness_mm must be > 0, got nan"),
+    (3.0, (0.0, 0.9), "pixel_spacing_row_mm must be > 0, got 0.0"),
+    (3.0, (0.7, float("nan")), "pixel_spacing_col_mm must be > 0, got nan"),
+    (3.0, (0.7, float("inf")), "pixel_spacing_col_mm must be < inf, got inf"),
+], ids=["negative-thickness", "nan-thickness", "zero-row-spacing", "nan-col-spacing",
+        "inf-col-spacing"])
+def test_out_of_range_default_geometry_rejected_before_any_file_is_read(
+        tmp_path, monkeypatch, thickness, spacing, match):
+    write_pgm(tmp_path / "s0.pgm", np.full((4, 5), 10, dtype=np.uint8))
+    monkeypatch.setattr(Path, "read_bytes", lambda self: pytest.fail(f"read {self.name}"))
+    with pytest.raises(ValueError, match=match):
+        load_series(tmp_path, default_thickness_mm=thickness, default_spacing_mm=spacing)
+
+
 def test_missing_dicom_geometry_takes_the_callers_defaults(tmp_path):
     _write_slices(tmp_path, [
         (f"{i}.dcm", {**_slice_kwargs(i), "thickness": None, "spacing": None}) for i in (1, 2)

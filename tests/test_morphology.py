@@ -7,6 +7,7 @@ from scipy import ndimage
 from lungct.errors import EmptyMarkerError, ShapeError
 from lungct.morphology import (
     StructuringElement,
+    _fold,
     _label,
     _max_filter,
     _reconstruct,
@@ -147,6 +148,31 @@ def test_max_filter_matches_naive_oracle_on_every_disk_and_tiny_images(se, shape
     out = _max_filter(mask, se)
     assert out.dtype == bool
     assert np.array_equal(out, naive_dilate(mask, se).astype(bool))
+
+
+@pytest.mark.parametrize("se", [make_disk(r) for r in range(10)] + [_SQUARE_3X3],
+                         ids=[f"disk{r}" for r in range(10)] + ["square3x3"])
+@pytest.mark.parametrize("dtype", [np.uint8, bool])
+def test_fold_writes_the_max_filter_on_its_row_window_and_nothing_else(se, dtype, rng):
+    r = se.radius
+    for _ in range(20):
+        h, w = rng.integers(1, 20, 2)
+        img = (rng.integers(0, 256, (h, w)) if dtype is np.uint8 else rng.random((h, w)) < 0.1)
+        img = img.astype(dtype)
+        width = w + 2 * r
+        framed = np.zeros((h + 2 * r, width), dtype=dtype)
+        framed[r : r + h, r : r + w] = img
+        flat = framed.reshape(-1)
+        y0 = int(rng.integers(0, h))
+        y1 = int(rng.integers(y0 + 1, h + 1))
+        lo, hi = (r + y0) * width, (r + y1) * width
+        out = rng.integers(0, 256 if dtype is np.uint8 else 2, flat.size).astype(dtype)
+        before = out.copy()
+        step = _fold(flat, width, se, lo, hi, out, np.empty_like(flat))
+        assert np.shares_memory(step, out) and step.size == hi - lo
+        assert np.array_equal(out[:lo], before[:lo]) and np.array_equal(out[hi:], before[hi:])
+        window = out[lo:hi].reshape(-1, width)[:, r : r + w]
+        assert np.array_equal(window, _max_filter(img, se)[y0:y1])
 
 
 # --- opening / closing -------------------------------------------------------------
