@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULTS
+from .config import DEFAULTS, check
 from .errors import FormatError, MissingTagError, UnsupportedError
 
 PREAMBLE_LEN = 128
@@ -145,6 +145,9 @@ def parse_dicom(
 
     Raises
     ------
+    ValueError
+        A default outside its config field's range, checked before the data
+        is read.
     FormatError
         Missing "DICM" magic, truncation, malformed values, or Rows or
         Columns of 0.
@@ -155,6 +158,9 @@ def parse_dicom(
     MissingTagError
         A tag the pipeline cannot default is absent.
     """
+    default_thickness_mm = check("slice_thickness_mm", float(default_thickness_mm))
+    default_spacing_mm = (check("pixel_spacing_row_mm", float(default_spacing_mm[0])),
+                          check("pixel_spacing_col_mm", float(default_spacing_mm[1])))
     if len(data) < PREAMBLE_LEN + 4 or data[PREAMBLE_LEN : PREAMBLE_LEN + 4] != MAGIC:
         raise FormatError('missing "DICM" magic after the 128-byte preamble')
 
@@ -215,7 +221,7 @@ def parse_dicom(
         if thickness <= 0:
             raise FormatError(f"SliceThickness must be positive, got {thickness}")
     else:
-        thickness = float(default_thickness_mm)
+        thickness = default_thickness_mm
         warnings.warn(
             f"SliceThickness missing; assuming {thickness} mm", stacklevel=2
         )
@@ -226,7 +232,7 @@ def parse_dicom(
             raise FormatError(f"malformed PixelSpacing {values}")
         spacing = (values[0], values[1])
     else:
-        spacing = (float(default_spacing_mm[0]), float(default_spacing_mm[1]))
+        spacing = default_spacing_mm
 
     # PixelRepresentation 1 stores two's complement; 0 (or no tag) unsigned.
     signed = _decode_us(tags.get(TAG_PIXEL_REPRESENTATION, b"\0\0"), TAG_PIXEL_REPRESENTATION)

@@ -163,6 +163,20 @@ def test_defaults_for_optional_tags():
     assert obj.pixel_spacing_mm == (1.0, 1.0)
 
 
+@pytest.mark.parametrize("thickness, spacing, message", [
+    (-2.0, (1.0, 1.0), "slice_thickness_mm must be > 0, got -2.0"),
+    (float("nan"), (1.0, 1.0), "slice_thickness_mm must be > 0, got nan"),
+    (5.0, (0.0, 1.0), "pixel_spacing_row_mm must be > 0, got 0.0"),
+    (5.0, (1.0, float("nan")), "pixel_spacing_col_mm must be > 0, got nan"),
+    (-2.0, (0.0, float("nan")), "slice_thickness_mm must be > 0, got -2.0"),
+])
+def test_bad_default_geometry_rejected(thickness, spacing, message):
+    data = build_dicom(thickness=None, spacing=None, **{k: v for k, v in BASE.items()
+                                                        if k not in ("thickness", "spacing")})
+    with pytest.raises(ValueError, match=message):
+        parse_dicom(data, thickness, spacing)
+
+
 def test_compressed_transfer_syntax_rejected():
     data = build_dicom(transfer_syntax="1.2.840.10008.1.2.4.70", **BASE)
     with pytest.raises(UnsupportedError):

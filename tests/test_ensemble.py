@@ -81,6 +81,20 @@ def test_xorshift_below_many_is_the_below_stream(n):
     assert batched.state == one_by_one.state
 
 
+# Counts around multiples of 256 steps, the jump-ahead block, and one full
+# 30-tree draw of a 2800-row fold.
+@pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 1023, 1024, 84_000])
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_xorshift_below_many_is_the_below_stream_at_block_edges(seed, count):
+    one_by_one, batched = Xorshift64Star(seed), Xorshift64Star(seed)
+    expected = [one_by_one.below(2800) for _ in range(count)]
+    draws = batched.below_many(2800, count)
+    assert draws.dtype == np.int64 and draws.shape == (count,)
+    assert draws.tolist() == expected
+    assert batched.state == one_by_one.state
+    assert batched.next_u64() == one_by_one.next_u64()
+
+
 def test_xorshift_shuffle_deterministic():
     assert Xorshift64Star(7).shuffle(list(range(10))) == Xorshift64Star(7).shuffle(list(range(10)))
 
@@ -216,9 +230,17 @@ def test_bagged_single_tree_equals_bootstrap_tree():
 
 
 # Recorded from the tree learner that sorted every feature at every node,
-# before split search moved to presorted columns: the model and the CV
-# result must stay byte-identical.
-_CORPUS5_MODEL_SHA256 = "0fa2eedee60c73d1af14934429783bd1afa2ec7ff9c1905fff0a2c7135b337c3"
+# before split search moved to presorted columns, and (the settings other
+# than the default) from the recursive presorted grower before trees grew
+# level by level: the models and the CV result must stay byte-identical.
+_CORPUS5_MODEL_SHA256 = {
+    "default": "0fa2eedee60c73d1af14934429783bd1afa2ec7ff9c1905fff0a2c7135b337c3",
+    "n_trees=31": "e161d08db413257568ffcb02cdf2971964bdcef9257805f92ed8767aa74e4209",
+    "min_leaf=1": "cffe8b9d92eb1e61910bb297c7bdeb517dba38ea06c060a569643176afa00cd6",
+    "max_depth=0": "a7a5a73bb72e41550c822d2f248564023d7f3bd8d061db33b1781ef93136769f",
+    "n_trees=17,seed=3,min_leaf=2,max_depth=6":
+        "f9ddf7c5a5849e40c47016eb31c550df6665c5761f37e3cfb5b3e39d113efa53",
+}
 _CORPUS5_CV = {
     "fold_accuracies": [1.0, 1.0, 0.995, 1.0, 1.0, 0.995, 1.0, 1.0, 0.99, 1.0, 0.995, 1.0, 1.0,
                         1.0, 1.0],
@@ -232,9 +254,14 @@ def corpus5():
     return X, y
 
 
-def test_model_bytes_are_unchanged(corpus5, tmp_path):
-    save_model(BaggedTreesClassifier().fit(*corpus5), tmp_path / "m.lctm")
-    assert hashlib.sha256((tmp_path / "m.lctm").read_bytes()).hexdigest() == _CORPUS5_MODEL_SHA256
+@pytest.mark.parametrize("settings", sorted(_CORPUS5_MODEL_SHA256))
+def test_model_bytes_are_unchanged(settings, corpus5, tmp_path):
+    params = {} if settings == "default" else {
+        key: int(value) for key, value in (item.split("=") for item in settings.split(","))
+    }
+    save_model(BaggedTreesClassifier(**params).fit(*corpus5), tmp_path / "m.lctm")
+    digest = hashlib.sha256((tmp_path / "m.lctm").read_bytes()).hexdigest()
+    assert digest == _CORPUS5_MODEL_SHA256[settings]
 
 
 def test_cv_result_is_unchanged(corpus5):
