@@ -5,19 +5,34 @@ through :class:`Xorshift64Star`, so training and cross-validation are
 bit-reproducible across runs and platforms. Split selection compares
 exact integer scores, never floats, so ties are unambiguous.
 
-Split search works on presorted columns, as SLIQ and SPRINT do (Mehta et
-al. 1996; Shafer et al. 1996): every feature is sorted once per fit, and
-each node holds one row of sample indices per feature, sorted by that
-feature. A node scores every boundary of every feature in one vectorised
-pass, and its children inherit their sorted rows by a stable partition, so
-no node sorts again. A node's split depends only on the multiset of samples
-at it, not on their order, because every split falls between distinct
-values."""
+Trees grow level by level over presorted columns, as in SLIQ's
+breadth-first growth (Mehta, Agrawal & Rissanen, EDBT 1996) and XGBoost's
+exact greedy search (Chen & Guestrin, KDD 2016). Every feature is sorted
+once per fit. Each open node holds one row of sample indices per feature,
+sorted by that feature, and the open nodes of a group of trees at one depth
+sit side by side in one index matrix. One pass scores every boundary of
+every feature of every such node, picks each node's best split by segmented
+first maxima, and partitions the matrix into the children's rows, which
+stay sorted, so no node sorts again. A node's split depends only on the
+multiset of samples at it, not on their order, because every split falls
+between distinct values. The trees of a fit grow in groups of a bounded
+number of positions, which bounds the pass's memory; nodes are renumbered
+into preorder at the end, so the model file is the one a recursive grower
+writes.
+
+The bootstrap draws come from one batch call: xorshift64* is linear over
+GF(2), so the generator jumps ahead to the start of each lane of 256 draws
+and then steps every lane at once in numpy.
+
+Prediction routes many rows through all trees at once: every node of every
+tree is in one flat table, and each pass moves every row one level down in
+every tree. A single row, as ``analyze`` classifies, takes the same path."""
 
 import multiprocessing
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -53,37 +68,87 @@ class Xorshift64Star:
 
     _MULT = 2685821657736338717
     _ZERO_STATE = 0x9E3779B97F4A7C15
+    _LANE = 256  # steps per lane of a jump-ahead batch of draws
+    _jump_bytes = None  # the state after _LANE steps, as a GF(2)-linear map: see _jump
 
     def __init__(self, seed):
         self.state = (int(seed) & _MASK64) or self._ZERO_STATE
 
-    def _advance(self, count):
-        """Step the state ``count`` times and return the ``count`` states it passed."""
-        x, mask = self.state, _MASK64
-        states = [0] * count
-        for i in range(count):
-            x ^= x >> 12
-            x ^= (x << 25) & mask
-            x ^= x >> 27
-            states[i] = x
-        self.state = x
-        return states
-
     def next_u64(self):
-        return (self._advance(1)[0] * self._MULT) & _MASK64
+        x = self.state
+        x ^= x >> 12
+        x ^= (x << 25) & _MASK64
+        x ^= x >> 27
+        self.state = x
+        return (x * self._MULT) & _MASK64
 
     def below(self, n):
         return self.next_u64() % n
+
+    @classmethod
+    def _jump(cls, x):
+        """The state ``_LANE`` steps after state ``x``.
+
+        Each step XORs shifted copies of the state into it, so it is linear
+        over GF(2), and so is any number of steps: the state after _LANE
+        steps is the XOR of the images of the bits set in ``x``. The images
+        are tabulated per byte of ``x``: every combination of a byte's bits.
+        """
+        if cls._jump_bytes is None:
+            bits = np.uint64(1) << np.arange(64, dtype=np.uint64)
+            for _ in range(cls._LANE):  # step all 64 unit states at once
+                bits ^= bits >> np.uint64(12)
+                bits ^= bits << np.uint64(25)
+                bits ^= bits >> np.uint64(27)
+            images = [int(v) for v in bits]
+            tables = []
+            for byte in range(8):
+                table = [0] * 256
+                for v in range(1, 256):
+                    low = v & -v
+                    table[v] = table[v ^ low] ^ images[8 * byte + low.bit_length() - 1]
+                tables.append(table)
+            cls._jump_bytes = tables
+        out = 0
+        for table in cls._jump_bytes:
+            out ^= table[x & 0xFF]
+            x >>= 8
+        return out
 
     def below_many(self, n, count):
         """``count`` successive ``below(n)`` draws as one int64 array.
 
         The draws, and the state left behind, are those of ``count`` calls
-        to ``below(n)``.
+        to ``below(n)``. A long run is cut into lanes of ``_LANE`` steps: the
+        lane starts are found by jumping ahead, then every lane steps at once.
         """
+        lanes = -(-count // self._LANE)
+        if lanes < 8:  # below about 2 000 draws the plain loop is faster
+            x, mask, states = self.state, _MASK64, [0] * count
+            for i in range(count):
+                x ^= x >> 12
+                x ^= (x << 25) & mask
+                x ^= x >> 27
+                states[i] = x
+            states = np.array(states, dtype=np.uint64)
+        else:
+            starts = [self.state]
+            for _ in range(lanes - 1):
+                starts.append(self._jump(starts[-1]))
+            x = np.array(starts, dtype=np.uint64)
+            states = np.empty((lanes, self._LANE), dtype=np.uint64)
+            for step in range(self._LANE):
+                x ^= x >> np.uint64(12)
+                x ^= x << np.uint64(25)
+                x ^= x >> np.uint64(27)
+                states[:, step] = x
+            states = states.ravel()[:count]
+        if count:
+            self.state = int(states[-1])
         # uint64 products wrap, which is the generator's multiply mod 2**64.
-        out = np.array(self._advance(count), dtype=np.uint64) * np.uint64(self._MULT)
-        return (out % np.uint64(n)).astype(np.int64)
+        states *= np.uint64(self._MULT)
+        states %= np.uint64(n)
+        return states.view(np.int64)
 
     def uniform(self):
         return self.next_u64() / 2.0**64
@@ -123,83 +188,241 @@ class DecisionTree:
         return 1 if n1 > n0 else 0  # tie votes 0
 
     def predict_one(self, x):
+        """The vote for one feature vector, walking the tree node by node."""
         node = 0
         while self.feature[node] >= 0:
             node = self.left[node] if x[self.feature[node]] <= self.threshold[node] else self.right[node]
         return self.leaf_vote(node)
 
     def predict(self, X):
-        return np.array([self.predict_one(row) for row in np.atleast_2d(X)], dtype=np.int64)
+        return _Routes((self,)).votes(X)
 
     @property
     def n_nodes(self):
         return len(self.feature)
 
 
-def _best_boundary(XT, y, S, n1, min_leaf):
-    """Best ``(feature, boundary, left positives)`` at a node, or None if none is allowed.
+class _Routes:
+    """The nodes of every tree of a forest in flat arrays, for routing many
+    rows through all trees at once.
 
-    ``S`` holds the node's m sample indices once per feature, row f sorted
-    by feature f, and ``n1`` of its samples are positive. Candidates are the
-    boundaries between consecutive distinct values with at least
-    ``min_leaf`` samples on each side; the split after position b sends
-    ``S[f, :b + 1]`` left. Minimizing the weighted Gini is equivalent to
-    maximizing the exact integer score ``nr*(c0l^2 + c1l^2) +
-    nl*(c0r^2 + c1r^2)``, which is positive for every candidate, so ties
-    are unambiguous: they go to the lowest feature index, then the lowest
-    threshold.
+    Node i of the table sits at 2i and 2i + 1 of ``child``: the index of
+    its right child, then of its left, both doubled, so ``child[j + (x <=
+    threshold)]`` takes a row one level down. A leaf is its own child on
+    both sides, so a row that reaches a leaf stays there, and ``depth``
+    passes bring every row to its leaf in every tree.
     """
-    m = S.shape[1]
-    lo, hi = min_leaf - 1, m - min_leaf  # boundaries b in [lo, hi) obey min_leaf
-    rows = np.arange(len(S))
-    V = XT[rows[:, None], S]
-    c1l = np.cumsum(y[S], axis=1)[:, lo:hi]
-    nl = np.arange(lo + 1, hi + 1)
-    nr = m - nl
-    c0l = nl - c1l
-    c1r = n1 - c1l
-    c0r = (m - n1) - c0l
-    score = nr * (c0l * c0l + c1l * c1l) + nl * (c0r * c0r + c1r * c1r)
-    score[V[:, lo:hi] == V[:, lo + 1 : hi + 1]] = -1
-    best = np.argmax(score, axis=1)  # first max = lowest threshold
-    f = int(np.argmax(score[rows, best]))  # first max = lowest feature
-    b = int(best[f])
-    if score[f, b] < 0:
-        return None
-    return f, lo + b, int(c1l[f, b])
+
+    def __init__(self, trees):
+        sizes = [tree.n_nodes for tree in trees]
+        total = sum(sizes)
+
+        def column(name, dtype):
+            return np.fromiter(chain.from_iterable(getattr(t, name) for t in trees), dtype, total)
+
+        feature = column("feature", np.intp)
+        leaf = feature < 0
+        node = np.arange(total)
+        shift = np.repeat(np.cumsum(sizes) - sizes, sizes)
+        left = np.where(leaf, node, column("left", np.intp) + shift)
+        right = np.where(leaf, node, column("right", np.intp) + shift)
+        self.feature = np.repeat(np.where(leaf, 0, feature), 2)
+        self.threshold = np.repeat(column("threshold", np.float64), 2)
+        self.child = 2 * np.column_stack([right, left]).ravel()
+        counts = chain.from_iterable(t.counts for t in trees)
+        self.vote = np.repeat(np.fromiter((c is not None and c[1] > c[0] for c in counts),
+                                          np.int64, total), 2)
+        self.roots = 2 * (np.cumsum(sizes) - sizes)
+        self.depth, frontier = 0, self.roots // 2
+        while not leaf[frontier].all():
+            frontier = frontier[~leaf[frontier]]
+            frontier = np.concatenate([left[frontier], right[frontier]])
+            self.depth += 1
+
+    def votes(self, X):
+        """How many trees vote 1 on each row of ``X``."""
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        rows = np.arange(len(X))[:, None]
+        j = np.broadcast_to(self.roots, (len(X), len(self.roots)))
+        for _ in range(self.depth):
+            j = self.child[j + (X[rows, self.feature[j]] <= self.threshold[j])]
+        return self.vote[j].sum(axis=1)
 
 
-def _grow_tree(XT, y, S, min_leaf, max_depth) -> DecisionTree:
-    """Grow one tree on features ``XT`` (one row per feature) and labels ``y``.
+# Bootstrap positions (trees x samples) that one pass of the grower holds:
+# 6 trees of a 2800-row fold, 5 of a 3000-row fit. A pass keeps a few int64
+# and float64 copies of its index matrix alive, so this bounds the memory a
+# fit takes on top of its data; larger groups cut few passes (the speed is
+# flat from about 4 to 10 trees per pass) and raise the peak resident size.
+_POSITIONS_PER_PASS = 16_800
 
-    Row f of ``S`` lists the training samples' indices sorted by feature f.
-    An index may repeat, as a bootstrap repeats it: copies share their
-    values, so they always fall on the same side of a split.
+
+def _grow(X, y, counts, min_leaf, max_depth):
+    """One tree per row of ``counts``, which says how often each sample of
+    ``X`` and ``y`` is in that tree's training set (a bootstrap repeats some
+    and leaves others out).
+
+    Every feature is sorted once; the trees then grow in groups of at most
+    ``_POSITIONS_PER_PASS`` positions.
     """
-    tree = DecisionTree()
-    goes_left = np.zeros(len(y), dtype=bool)
+    XT = np.ascontiguousarray(X.T)
+    order = np.argsort(XT, axis=1, kind="stable")
+    # Where a feature's values are all distinct numbers, two positions of a
+    # node hold equal values only if they hold copies of one sample.
+    ordered = np.take_along_axis(XT, order, axis=1)
+    distinct = ~((ordered[:, 1:] == ordered[:, :-1]).any(axis=1) | np.isnan(XT).any(axis=1))
+    n_trees, n = counts.shape
+    groups = np.array_split(counts, -(-n_trees * n // max(_POSITIONS_PER_PASS, n)))
+    return [tree for group in groups
+            for tree in _grow_group(XT, y, order, distinct, group, min_leaf, max_depth)]
 
-    def grow(S, n1, depth):
-        m = S.shape[1]
-        split = None
-        if depth < max_depth and m >= 2 * min_leaf and 0 < n1 < m:
-            split = _best_boundary(XT, y, S, n1, min_leaf)
-        if split is None:
-            return tree.add_node(counts=(m - n1, n1))
-        f, b, n1_left = split
-        threshold = (float(XT[f, S[f, b]]) + float(XT[f, S[f, b + 1]])) / 2.0
-        # A stable partition of every row keeps each child's rows sorted.
-        goes_left[S[f, : b + 1]] = True
-        G = goes_left[S]
-        goes_left[S[f, : b + 1]] = False
-        left, right = S[G].reshape(len(S), b + 1), S[~G].reshape(len(S), m - b - 1)
-        node = tree.add_node(f, threshold)
-        tree.left[node] = grow(left, n1_left, depth + 1)
-        tree.right[node] = grow(right, n1 - n1_left, depth + 1)
-        return node
 
-    grow(S, int(y[S[0]].sum()), 0)
-    return tree
+def _splittable(m, n1, depth, min_leaf, max_depth):
+    return (depth < max_depth) & (m >= 2 * min_leaf) & (n1 > 0) & (n1 < m)
+
+
+def _grow_group(XT, y, order, distinct, counts, min_leaf, max_depth):
+    """Grow one tree per row of ``counts`` level by level.
+
+    Sample i of tree t is index t*n + i into the group's tiled data, so one
+    index names a sample in one tree. Every open node of every tree at one
+    depth is a run of columns of the index matrix ``S``, whose row f lists
+    the node's samples sorted by feature f, a sample as often as it was
+    drawn. One pass finds every open node's best split and partitions the
+    columns into the open children: all left children, then all right
+    children. Children inherit sorted rows, so nothing sorts again. Nodes
+    are numbered as they are made, then renumbered into preorder, the order
+    ``save_model`` writes.
+    """
+    g, n = counts.shape
+    F = len(XT)
+    X, y = np.tile(XT, g), np.tile(y.astype(np.int32), g)
+    S = np.empty((F, g * n), dtype=np.intp)
+    for t in range(g):
+        S[:, t * n : (t + 1) * n] = np.repeat(order + t * n, counts[t, order].ravel()).reshape(F, n)
+    # Per node, in the order made: its tree, samples and positives.
+    tree_of, m_of, n1_of = [np.arange(g)], [counts.sum(axis=1)], [counts @ y[:n]]
+    splits = []  # per depth: (node, feature, threshold, left child, right child)
+    side = np.zeros(g * n, dtype=np.int8)  # per index: 1 to an open left child, 2 right
+    # The open nodes at this depth, in the order of their columns.
+    nodes, trees, m, n1 = tree_of[0], tree_of[0], m_of[0], n1_of[0]
+    made, depth = g, 0
+    ok = _splittable(m, n1, depth, min_leaf, max_depth)
+    S = np.compress(np.repeat(ok, m), S, axis=1)
+    nodes, trees, m, n1 = nodes[ok], trees[ok], m[ok], n1[ok]
+    while len(nodes):
+        f, cut, n1_cut, best = _best_splits(X, y, distinct, S, m, n1, min_leaf)
+        split = np.flatnonzero(best > 0)
+        if not len(split):
+            break
+        ks, fs, cs = len(split), f[split], cut[split]
+        nls, n1ls = cs + 1 - (np.cumsum(m) - m)[split], n1_cut[split]
+        threshold = (X[fs, S[fs, cs]] + X[fs, S[fs, cs + 1]]) / 2.0
+        children = made + np.arange(2 * ks)
+        splits.append((nodes[split], fs, threshold, children[:ks], children[ks:]))
+        made += 2 * ks
+        tree_of.append(np.tile(trees[split], 2))
+        m_of.append(np.concatenate([nls, m[split] - nls]))
+        n1_of.append(np.concatenate([n1ls, n1[split] - n1ls]))
+        depth += 1
+        open_ = _splittable(m_of[-1], n1_of[-1], depth, min_leaf, max_depth)
+        if not open_.any():
+            break
+        # Each split node's samples sorted by its split feature: those up to
+        # the cut go left. Copies of a sample share its values, so they all
+        # fall on one side.
+        code = np.zeros((len(nodes), 2), dtype=np.int8)
+        code[split] = np.column_stack([open_[:ks], 2 * open_[ks:]])
+        pos = np.arange(S.shape[1])
+        node = np.repeat(np.arange(len(nodes)), m)
+        side[S.ravel()[f[node] * len(pos) + pos]] = code.ravel()[2 * node + (pos > cut[node])]
+        S = _partition(S, side[S])
+        nodes, trees = children[open_], tree_of[-1][open_]
+        m, n1 = m_of[-1][open_], n1_of[-1][open_]
+    return _assemble(g, np.concatenate(tree_of), np.concatenate(m_of), np.concatenate(n1_of), splits)
+
+
+def _partition(S, D):
+    """The columns of ``S`` whose ``D`` is 1, then those whose ``D`` is 2, row by row."""
+    n_left = np.count_nonzero(D[0] == 1)
+    out = np.empty((len(S), n_left + np.count_nonzero(D[0] == 2)), dtype=S.dtype)
+    for r in range(len(S)):
+        np.compress(D[r] == 1, S[r], out=out[r, :n_left])
+        np.compress(D[r] == 2, S[r], out=out[r, n_left:])
+    return out
+
+
+def _best_splits(X, y, distinct, S, m, n1, min_leaf):
+    """Each node's best split: ``(feature, cut, positives up to the cut,
+    score)``, four arrays with one entry per node.
+
+    The nodes are runs of ``m`` columns of ``S``, with ``n1`` positives.
+    Splitting feature f after column ``cut`` sends the samples of row f up
+    to ``cut`` left. The score is 0 if no split is allowed.
+    """
+    F, N = S.shape
+    starts = np.cumsum(m) - m
+    pos = np.arange(N)
+    nl, mm, p = pos + 1 - np.repeat(starts, m), np.repeat(m, m), np.repeat(n1, m)
+    # Positives at or before each position within its node: every row of a
+    # node holds the same samples, so taking the previous node's positives
+    # off at each node start restarts the running sum.
+    a = y[S]
+    a[:, starts[1:]] -= n1[:-1]
+    np.cumsum(a, axis=1, out=a)
+    # Splitting after position nl - 1 sends nl samples, a of them positive,
+    # left. Minimizing the weighted Gini is maximizing
+    #   nr*(c0l^2 + c1l^2) + nl*(c0r^2 + c1r^2)
+    #   = nl*nr*(m - 2p) + 2*nl*p^2 + 2a*(m*a - 2p*nl),
+    # with p the node's positives: exact in integers and positive, so ties
+    # are unambiguous.
+    score = 2 * mm * a
+    score -= 4 * p * nl
+    score *= a
+    score += nl * (mm - nl) * (mm - 2 * p) + 2 * nl * p * p
+    # Allowed: at least min_leaf samples on each side, between distinct values.
+    allowed = np.zeros((F, N), dtype=bool)
+    for r in range(F):
+        v = S[r] if distinct[r] else X[r].take(S[r])
+        np.not_equal(v[:-1], v[1:], out=allowed[r, :-1])
+    allowed &= (nl >= min_leaf) & (nl <= mm - min_leaf)
+    score *= allowed
+    # First maxima: the lowest feature, then the lowest threshold.
+    top = np.maximum.reduceat(score, starts, axis=1)
+    f = top.argmax(axis=0)
+    best = top[f, np.arange(len(m))]
+    at = np.repeat(f, m) * N + pos  # each column in its node's best feature's row
+    cut = np.minimum.reduceat(np.where(score.ravel()[at] == np.repeat(best, m), pos, N), starts)
+    return f, cut, a[f, cut], best
+
+
+def _assemble(g, tree, m, n1, splits):
+    """The ``g`` trees of nodes numbered as made: roots first, every child
+    after its parent. Node i is in ``tree[i]`` with ``m[i]`` samples,
+    ``n1[i]`` of them positive; ``splits`` holds the internal nodes."""
+    total = len(tree)
+    feature, threshold = np.full(total, -1), np.zeros(total)
+    left, right = np.full(total, -1), np.full(total, -1)
+    for node, f, t, lo, hi in splits:
+        feature[node], threshold[node], left[node], right[node] = f, t, lo, hi
+    size = np.ones(total, dtype=np.intp)
+    for node, _, _, lo, hi in reversed(splits):
+        size[node] += size[lo] + size[hi]
+    pre = np.zeros(total, dtype=np.intp)  # preorder number within the tree
+    for node, _, _, lo, hi in splits:
+        pre[lo] = pre[node] + 1
+        pre[hi] = pre[lo] + size[lo]
+    internal = feature >= 0
+    left, right = np.where(internal, pre[left], -1), np.where(internal, pre[right], -1)
+    order = np.lexsort((pre, tree))
+    columns = [c[order].tolist() for c in (feature, threshold, left, right, m - n1, n1)]
+    out, lo = [], 0
+    for hi in np.cumsum(size[:g]).tolist():
+        f, t, l, r, c0, c1 = (c[lo:hi] for c in columns)
+        counts = [None if fi >= 0 else (a, b) for fi, a, b in zip(f, c0, c1)]
+        out.append(DecisionTree(f, t, l, r, counts))
+        lo = hi
+    return out
 
 
 def _training_arrays(X, y, min_leaf, max_depth):
@@ -218,8 +441,7 @@ def train_tree(X, y, min_leaf=DEFAULTS.min_leaf, max_depth=DEFAULTS.max_depth) -
     X, y = _training_arrays(X, y, min_leaf, max_depth)
     if len(y) == 0:
         raise EmptyTrainingSetError("cannot train a tree on zero samples")
-    XT = np.ascontiguousarray(X.T)
-    return _grow_tree(XT, y, np.argsort(XT, axis=1, kind="stable"), min_leaf, max_depth)
+    return _grow(X, y, np.ones((1, len(y)), dtype=np.int64), min_leaf, max_depth)[0]
 
 
 class BaggedTreesClassifier(ParamsMixin):
@@ -237,6 +459,17 @@ class BaggedTreesClassifier(ParamsMixin):
         self.min_leaf = min_leaf
         self.max_depth = max_depth
 
+    @property
+    def trees_(self):
+        return self._trees
+
+    @trees_.setter
+    def trees_(self, trees):
+        # A tuple, so the trees cannot change under the routing table built
+        # from them; assigning trees_ again builds a new table.
+        self._trees = tuple(trees)
+        self._routes = None
+
     def fit(self, X, y):
         check("n_trees", self.n_trees)
         X, y = _training_arrays(X, y, self.min_leaf, self.max_depth)
@@ -248,28 +481,21 @@ class BaggedTreesClassifier(ParamsMixin):
             raise ValueError("labels must be 0 or 1")
 
         n = len(y)
-        rng = Xorshift64Star(self.seed)
-        # All bootstrap draws happen up front, in a fixed order, so tree
-        # training could fan out to workers without changing the result.
-        bootstraps = rng.below_many(n, self.n_trees * n).reshape(self.n_trees, n)
-        # Sorting once serves every tree: a bootstrap's sorted rows are the
-        # sorted sample indices, each repeated as often as it was drawn.
-        XT = np.ascontiguousarray(X.T)
-        order = np.argsort(XT, axis=1, kind="stable").ravel()
-        self.trees_ = []
-        for idx in bootstraps:
-            S = np.repeat(order, np.bincount(idx, minlength=n)[order]).reshape(len(XT), n)
-            self.trees_.append(_grow_tree(XT, y, S, self.min_leaf, self.max_depth))
+        # All bootstrap draws happen up front, in a fixed order: tree t
+        # draws the t-th n of them.
+        draws = Xorshift64Star(self.seed).below_many(n, self.n_trees * n).reshape(self.n_trees, n)
+        draws += (np.arange(self.n_trees) * n)[:, None]
+        counts = np.bincount(draws.ravel(), minlength=self.n_trees * n).reshape(self.n_trees, n)
+        del draws  # not needed while the trees grow
+        self.trees_ = _grow(X, y, counts, self.min_leaf, self.max_depth)
         self.n_samples_ = n
         self.feature_names_ = FEATURE_NAMES
         return self
 
     def _votes(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        votes = np.zeros(len(X), dtype=np.int64)
-        for tree in self.trees_:
-            votes += tree.predict(X)
-        return votes
+        if self._routes is None:
+            self._routes = _Routes(self._trees)
+        return self._routes.votes(X)
 
     def predict(self, X):
         votes = self._votes(X)

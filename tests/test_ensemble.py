@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from lungct import ensemble
 from lungct.ensemble import (
     BaggedTreesClassifier,
     DecisionTree,
@@ -81,9 +82,11 @@ def test_xorshift_below_many_is_the_below_stream(n):
     assert batched.state == one_by_one.state
 
 
-# Counts around multiples of 256 steps, the jump-ahead block, and one full
-# 30-tree draw of a 2800-row fold.
-@pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 1023, 1024, 84_000])
+# Counts around multiples of 256 steps, the jump-ahead lane; from 8 lanes
+# (1793 draws) on, the draws jump ahead; 84 000 is one 30-tree draw of a
+# 2800-row fold.
+@pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 1023, 1024, 1793, 2047, 2048, 2049,
+                                   84_000])
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
 def test_xorshift_below_many_is_the_below_stream_at_block_edges(seed, count):
     one_by_one, batched = Xorshift64Star(seed), Xorshift64Star(seed)
@@ -168,10 +171,13 @@ def test_presorted_tree_matches_reference_on_ties(seed, min_leaf, max_depth):
 
 
 @pytest.mark.parametrize("min_leaf", [1, 7])
-def test_bagged_trees_match_reference_on_their_bootstraps(min_leaf):
+def test_bagged_trees_match_reference_on_their_bootstraps(min_leaf, monkeypatch):
+    # Two trees' positions per pass, so the 7 trees grow in 4 groups.
     X, y = _tie_heavy(3)
-    model = BaggedTreesClassifier(n_trees=4, seed=11, min_leaf=min_leaf, max_depth=4).fit(X, y)
-    draws = Xorshift64Star(11).below_many(len(y), 4 * len(y)).reshape(4, len(y))
+    monkeypatch.setattr(ensemble, "_POSITIONS_PER_PASS", 2 * len(y))
+    model = BaggedTreesClassifier(n_trees=7, seed=11, min_leaf=min_leaf, max_depth=4).fit(X, y)
+    draws = Xorshift64Star(11).below_many(len(y), 7 * len(y)).reshape(7, len(y))
+    assert len(model.trees_) == 7
     for tree, idx in zip(model.trees_, draws):
         reference = ReferenceTree(X[idx], y[idx], min_leaf=min_leaf, max_depth=4)
         assert _as_reference_nodes(tree) == reference.root
@@ -290,6 +296,64 @@ def test_bad_tree_settings_rejected_by_both_entry_points(settings, message):
         train_tree(X, y, **settings)
     with pytest.raises(ValueError, match=message):
         BaggedTreesClassifier(n_trees=3, **settings).fit(X, y)
+
+
+def _probe_rows(model, X, seed):
+    """Random rows around the training data, and rows that sit exactly on
+    split thresholds (which route left) or hold NaN (which routes right)."""
+    rng = np.random.default_rng(seed)
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    rows = rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), (300, X.shape[1]))
+    on_threshold = X[rng.integers(0, len(X), 50)].copy()
+    for row in on_threshold:
+        tree = model.trees_[rng.integers(len(model.trees_))]
+        node = int(rng.integers(tree.n_nodes))
+        if tree.feature[node] >= 0:
+            row[tree.feature[node]] = tree.threshold[node]
+    with_nan = X[:5].copy()
+    with_nan[np.arange(5), np.arange(5) % X.shape[1]] = np.nan
+    return np.vstack([rows, on_threshold, with_nan])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_routed_predictions_match_the_one_row_walk(seed):
+    X, y, _, _ = make_feature_corpus(600, seed=seed)
+    model = BaggedTreesClassifier(n_trees=9, seed=seed, min_leaf=2).fit(X, y)
+    probe = _probe_rows(model, X, seed)
+    votes = np.array([sum(tree.predict_one(row) for tree in model.trees_) for row in probe])
+    assert model.predict_confidence(probe).tolist() == (votes / 9).tolist()
+    assert model.predict(probe).tolist() == (votes * 2 > 9).astype(int).tolist()
+    for tree in model.trees_[:3]:
+        assert tree.predict(probe).tolist() == [tree.predict_one(row) for row in probe]
+    for row, expected in zip(probe[:40], votes[:40]):
+        assert model.predict_one(row) == (int(expected * 2 > 9), expected / 9)
+
+
+def test_routing_follows_trees_assigned_to_a_fitted_model():
+    X, y, _, _ = make_feature_corpus(400, seed=3)
+    model = BaggedTreesClassifier(n_trees=5, seed=1).fit(X, y)
+    other = BaggedTreesClassifier(n_trees=3, seed=2, max_depth=2).fit(X, y)
+    probe = _probe_rows(model, X, 3)
+    model.predict(probe)  # builds the routing table of the fitted trees
+    model.trees_ = list(other.trees_)
+    votes = np.array([sum(tree.predict_one(row) for tree in other.trees_) for row in probe])
+    assert model.predict_confidence(probe).tolist() == (votes / 3).tolist()
+    assert model.predict(probe).tolist() == other.predict(probe).tolist()
+    # Hand-built trees: a stump on feature 2 and a two-level tree.
+    stump = DecisionTree()
+    stump.add_node(2, 50.0, 1, 2)
+    stump.add_node(counts=(1, 4))
+    stump.add_node(counts=(4, 1))
+    deep = DecisionTree()
+    deep.add_node(0, 1000.0, 1, 4)
+    deep.add_node(1, 100.0, 2, 3)
+    deep.add_node(counts=(0, 3))
+    deep.add_node(counts=(3, 0))
+    deep.add_node(counts=(2, 2))
+    model.trees_ = [stump, deep]
+    rows = np.array([[999.0, 100.0, 50.0], [999.0, 101.0, 50.0], [1000.5, 0.0, 51.0]])
+    assert model.predict_confidence(rows).tolist() == [1.0, 0.5, 0.0]
+    assert model.predict_one(rows[0]) == (1, 1.0)
 
 
 def test_predict_vote_arithmetic():
