@@ -85,6 +85,18 @@ class Xorshift64Star:
     def below(self, n):
         return self.next_u64() % n
 
+    @staticmethod
+    def _lanes(x, steps):
+        """Step every state of the uint64 array ``x`` ``steps`` times, in
+        place; return the states passed, one row per element of ``x``."""
+        out = np.empty((len(x), steps), dtype=np.uint64)
+        for step in range(steps):
+            x ^= x >> np.uint64(12)
+            x ^= x << np.uint64(25)
+            x ^= x >> np.uint64(27)
+            out[:, step] = x
+        return out
+
     @classmethod
     def _jump(cls, x):
         """The state ``_LANE`` steps after state ``x``.
@@ -95,12 +107,8 @@ class Xorshift64Star:
         are tabulated per byte of ``x``: every combination of a byte's bits.
         """
         if cls._jump_bytes is None:
-            bits = np.uint64(1) << np.arange(64, dtype=np.uint64)
-            for _ in range(cls._LANE):  # step all 64 unit states at once
-                bits ^= bits >> np.uint64(12)
-                bits ^= bits << np.uint64(25)
-                bits ^= bits >> np.uint64(27)
-            images = [int(v) for v in bits]
+            units = np.uint64(1) << np.arange(64, dtype=np.uint64)
+            images = cls._lanes(units, cls._LANE)[:, -1].tolist()
             tables = []
             for byte in range(8):
                 table = [0] * 256
@@ -135,14 +143,7 @@ class Xorshift64Star:
             starts = [self.state]
             for _ in range(lanes - 1):
                 starts.append(self._jump(starts[-1]))
-            x = np.array(starts, dtype=np.uint64)
-            states = np.empty((lanes, self._LANE), dtype=np.uint64)
-            for step in range(self._LANE):
-                x ^= x >> np.uint64(12)
-                x ^= x << np.uint64(25)
-                x ^= x >> np.uint64(27)
-                states[:, step] = x
-            states = states.ravel()[:count]
+            states = self._lanes(np.array(starts, dtype=np.uint64), self._LANE).ravel()[:count]
         if count:
             self.state = int(states[-1])
         # uint64 products wrap, which is the generator's multiply mod 2**64.
@@ -267,21 +268,16 @@ def _grow(X, y, counts, min_leaf, max_depth):
     """
     XT = np.ascontiguousarray(X.T)
     order = np.argsort(XT, axis=1, kind="stable")
-    # Where a feature's values are all distinct numbers, two positions of a
-    # node hold equal values only if they hold copies of one sample.
-    ordered = np.take_along_axis(XT, order, axis=1)
-    distinct = ~((ordered[:, 1:] == ordered[:, :-1]).any(axis=1) | np.isnan(XT).any(axis=1))
     n_trees, n = counts.shape
     groups = np.array_split(counts, -(-n_trees * n // max(_POSITIONS_PER_PASS, n)))
-    return [tree for group in groups
-            for tree in _grow_group(XT, y, order, distinct, group, min_leaf, max_depth)]
+    return [tree for group in groups for tree in _grow_group(XT, y, order, group, min_leaf, max_depth)]
 
 
 def _splittable(m, n1, depth, min_leaf, max_depth):
     return (depth < max_depth) & (m >= 2 * min_leaf) & (n1 > 0) & (n1 < m)
 
 
-def _grow_group(XT, y, order, distinct, counts, min_leaf, max_depth):
+def _grow_group(XT, y, order, counts, min_leaf, max_depth):
     """Grow one tree per row of ``counts`` level by level.
 
     Sample i of tree t is index t*n + i into the group's tiled data, so one
@@ -311,7 +307,7 @@ def _grow_group(XT, y, order, distinct, counts, min_leaf, max_depth):
     S = np.compress(np.repeat(ok, m), S, axis=1)
     nodes, trees, m, n1 = nodes[ok], trees[ok], m[ok], n1[ok]
     while len(nodes):
-        f, cut, n1_cut, best = _best_splits(X, y, distinct, S, m, n1, min_leaf)
+        f, cut, n1_cut, best = _best_splits(X, y, S, m, n1, min_leaf)
         split = np.flatnonzero(best > 0)
         if not len(split):
             break
@@ -352,7 +348,7 @@ def _partition(S, D):
     return out
 
 
-def _best_splits(X, y, distinct, S, m, n1, min_leaf):
+def _best_splits(X, y, S, m, n1, min_leaf):
     """Each node's best split: ``(feature, cut, positives up to the cut,
     score)``, four arrays with one entry per node.
 
@@ -383,7 +379,7 @@ def _best_splits(X, y, distinct, S, m, n1, min_leaf):
     # Allowed: at least min_leaf samples on each side, between distinct values.
     allowed = np.zeros((F, N), dtype=bool)
     for r in range(F):
-        v = S[r] if distinct[r] else X[r].take(S[r])
+        v = X[r].take(S[r])
         np.not_equal(v[:-1], v[1:], out=allowed[r, :-1])
     allowed &= (nl >= min_leaf) & (nl <= mm - min_leaf)
     score *= allowed
