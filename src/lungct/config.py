@@ -131,6 +131,14 @@ def check_band(band_lo, band_hi):
         raise ValueError(f"band_lo must be < band_hi, got band_lo {band_lo}, band_hi {band_hi}")
 
 
+def check_geometry(thickness_mm, spacing_mm):
+    """Check a slice thickness and a (row, column) pixel spacing against their
+    fields' ranges; return them as floats, ``(thickness, (row, column))``."""
+    return (check("slice_thickness_mm", float(thickness_mm)),
+            (check("pixel_spacing_row_mm", float(spacing_mm[0])),
+             check("pixel_spacing_col_mm", float(spacing_mm[1]))))
+
+
 def range_text(name):
     """Config field ``name``'s range in interval notation, such as ``[0, 0.5)``."""
     low, high, ends = _RANGES[name]

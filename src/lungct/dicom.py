@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULTS, check
+from .config import DEFAULTS, check_geometry
 from .errors import FormatError, MissingTagError, UnsupportedError
 
 PREAMBLE_LEN = 128
@@ -158,9 +158,7 @@ def parse_dicom(
     MissingTagError
         A tag the pipeline cannot default is absent.
     """
-    default_thickness_mm = check("slice_thickness_mm", float(default_thickness_mm))
-    default_spacing_mm = (check("pixel_spacing_row_mm", float(default_spacing_mm[0])),
-                          check("pixel_spacing_col_mm", float(default_spacing_mm[1])))
+    default_thickness_mm, default_spacing_mm = check_geometry(default_thickness_mm, default_spacing_mm)
     if len(data) < PREAMBLE_LEN + 4 or data[PREAMBLE_LEN : PREAMBLE_LEN + 4] != MAGIC:
         raise FormatError('missing "DICM" magic after the 128-byte preamble')
 

@@ -127,23 +127,15 @@ class Xorshift64Star:
         """``count`` successive ``below(n)`` draws as one int64 array.
 
         The draws, and the state left behind, are those of ``count`` calls
-        to ``below(n)``. A long run is cut into lanes of ``_LANE`` steps: the
-        lane starts are found by jumping ahead, then every lane steps at once.
+        to ``below(n)``. The run is cut into lanes of ``_LANE`` steps, the
+        last one kept only up to ``count``: the lane starts are found by
+        jumping ahead, then every lane steps at once. Up to ``_LANE`` draws
+        are one lane and need no jump.
         """
-        lanes = -(-count // self._LANE)
-        if lanes < 8:  # below about 2 000 draws the plain loop is faster
-            x, mask, states = self.state, _MASK64, [0] * count
-            for i in range(count):
-                x ^= x >> 12
-                x ^= (x << 25) & mask
-                x ^= x >> 27
-                states[i] = x
-            states = np.array(states, dtype=np.uint64)
-        else:
-            starts = [self.state]
-            for _ in range(lanes - 1):
-                starts.append(self._jump(starts[-1]))
-            states = self._lanes(np.array(starts, dtype=np.uint64), self._LANE).ravel()[:count]
+        starts = [self.state]
+        for _ in range(-(-count // self._LANE) - 1):
+            starts.append(self._jump(starts[-1]))
+        states = self._lanes(np.array(starts, dtype=np.uint64), self._LANE).ravel()[:count]
         if count:
             self.state = int(states[-1])
         # uint64 products wrap, which is the generator's multiply mod 2**64.
@@ -461,8 +453,9 @@ class BaggedTreesClassifier(ParamsMixin):
 
     @trees_.setter
     def trees_(self, trees):
-        # A tuple, so the trees cannot change under the routing table built
-        # from them; assigning trees_ again builds a new table.
+        # The routing table is built from the trees on first use and kept,
+        # so a tree edited in place after that is not seen until trees_ is
+        # assigned again: only this setter drops the table.
         self._trees = tuple(trees)
         self._routes = None
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULTS, check
+from .config import DEFAULTS, check, check_geometry
 from .dicom import MAGIC, PREAMBLE_LEN, DicomObject, parse_dicom
 from .errors import EmptySeriesError, FormatError, MixedSeriesError, SeriesShapeError
 from .validation import as_gray_image, round_half_away
@@ -132,9 +132,7 @@ def load_series(
     raises EmptySeriesError. A window ``to_gray8`` rejects raises at the
     first DICOM slice.
     """
-    thickness = check("slice_thickness_mm", float(default_thickness_mm))
-    spacing = (check("pixel_spacing_row_mm", float(default_spacing_mm[0])),
-               check("pixel_spacing_col_mm", float(default_spacing_mm[1])))
+    thickness, spacing = check_geometry(default_thickness_mm, default_spacing_mm)
     directory = Path(directory)
     if not directory.is_dir():
         raise EmptySeriesError(f"{directory} is not a directory")

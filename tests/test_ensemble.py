@@ -356,6 +356,22 @@ def test_routing_follows_trees_assigned_to_a_fitted_model():
     assert model.predict_one(rows[0]) == (1, 1.0)
 
 
+def test_a_tree_edited_in_place_is_seen_once_trees_is_assigned_again():
+    stump = DecisionTree()
+    stump.add_node(0, 10.0, 1, 2)
+    stump.add_node(counts=(0, 3))
+    stump.add_node(counts=(3, 0))
+    model = BaggedTreesClassifier(n_trees=1)
+    model.trees_ = [stump]
+    row = np.array([5.0, 0.0, 0.0])
+    assert model.predict_one(row) == (1, 1.0)
+    stump.threshold[0] = 1.0  # the row now goes right, to the 0 leaf
+    assert stump.predict_one(row) == 0
+    assert model.predict_one(row) == (1, 1.0)  # the kept table still routes left
+    model.trees_ = model.trees_
+    assert model.predict_one(row) == (0, 0.0)
+
+
 def test_predict_vote_arithmetic():
     model = BaggedTreesClassifier(n_trees=3, seed=0)
     leaf1 = DecisionTree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], counts=[(0, 5)])
