@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import check
+from .config import check_geometry
 
 
 @dataclass
@@ -47,12 +47,9 @@ def build_report(patient_id, detections, thickness_mm, spacing_mm) -> SeriesRepo
     spacing so the number is in cubic millimetres. A max-area tie goes to
     the lowest slice index.
     """
-    check("slice_thickness_mm", thickness_mm)
-    check("pixel_spacing_row_mm", spacing_mm[0])
-    check("pixel_spacing_col_mm", spacing_mm[1])
+    thickness, (row, col) = check_geometry(thickness_mm, spacing_mm)
     detections = sorted(detections, key=lambda d: (d.slice_index, -d.area_px))
     total_area = sum(d.area_px for d in detections)
-    pixel_area_mm2 = float(spacing_mm[0]) * float(spacing_mm[1])
 
     max_area, max_slice = 0, None
     for d in detections:
@@ -63,13 +60,13 @@ def build_report(patient_id, detections, thickness_mm, spacing_mm) -> SeriesRepo
         positives=detections,
         max_area_px=max_area,
         max_area_slice=max_slice,
-        volume_px_mm=total_area * float(thickness_mm),
-        volume_mm3=total_area * pixel_area_mm2 * float(thickness_mm),
+        volume_px_mm=total_area * thickness,
+        volume_mm3=total_area * (row * col) * thickness,
         mean_confidence=(
             sum(d.confidence for d in detections) / len(detections) if detections else 0.0
         ),
-        slice_thickness_mm=float(thickness_mm),
-        pixel_spacing_mm=(float(spacing_mm[0]), float(spacing_mm[1])),
+        slice_thickness_mm=thickness,
+        pixel_spacing_mm=(row, col),
     )
 
 

@@ -1,4 +1,5 @@
-"""Minimal estimator plumbing: constructor-parameter introspection.
+"""Minimal estimator plumbing: constructor-parameter introspection, and
+the one way the package fans work out to processes.
 
 Gives the pipeline classes the familiar ``get_params`` / ``set_params``
 surface so they compose with grid-search style tooling without pulling
@@ -6,6 +7,17 @@ in scikit-learn as a dependency.
 """
 
 import inspect
+from concurrent.futures import ProcessPoolExecutor
+
+
+def map_tasks(fn, tasks, workers):
+    """``[fn(task) for task in tasks]``: with ``workers`` above 1 the calls
+    run in a pool of that many processes, and the results still come back
+    in task order. A worker that dies raises ``BrokenProcessPool``."""
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
 
 
 class ParamsMixin:

@@ -25,19 +25,19 @@ GF(2), so the generator jumps ahead to the start of each lane of 256 draws
 and then steps every lane at once in numpy.
 
 Prediction routes many rows through all trees at once: every node of every
-tree is in one flat table, and each pass moves every row one level down in
-every tree. A single row, as ``analyze`` classifies, takes the same path."""
+tree is in one flat table, built when the forest's trees are set, and each
+pass moves every row one level down in every tree. A single row, as
+``analyze`` classifies, takes the same path. Trees are frozen, so the table
+cannot go stale."""
 
-import multiprocessing
 import struct
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .base import ParamsMixin
+from .base import ParamsMixin, map_tasks
 from .config import DEFAULTS, check
 from .errors import (
     EmptyTrainingSetError,
@@ -153,28 +153,25 @@ class Xorshift64Star:
         return items
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecisionTree:
     """Flattened binary tree: node i is internal if feature[i] >= 0.
 
     Internal nodes route ``x[feature] <= threshold`` left; leaves carry
-    the class counts of the training samples that reached them.
+    the class counts of the training samples that reached them, and an
+    internal node's counts are None. The columns are stored as tuples and
+    the tree is frozen, so a tree is never changed once built.
     """
 
-    feature: list = field(default_factory=list)
-    threshold: list = field(default_factory=list)
-    left: list = field(default_factory=list)
-    right: list = field(default_factory=list)
-    counts: list = field(default_factory=list)
+    feature: tuple
+    threshold: tuple
+    left: tuple
+    right: tuple
+    counts: tuple
 
-    def add_node(self, feature=-1, threshold=0.0, left=-1, right=-1, counts=None):
-        """Append a node (a leaf unless ``feature >= 0``) and return its index."""
-        self.feature.append(feature)
-        self.threshold.append(threshold)
-        self.left.append(left)
-        self.right.append(right)
-        self.counts.append(counts)
-        return len(self.feature) - 1
+    def __post_init__(self):
+        for column in fields(self):
+            object.__setattr__(self, column.name, tuple(getattr(self, column.name)))
 
     def leaf_vote(self, node):
         n0, n1 = self.counts[node]
@@ -453,11 +450,8 @@ class BaggedTreesClassifier(ParamsMixin):
 
     @trees_.setter
     def trees_(self, trees):
-        # The routing table is built from the trees on first use and kept,
-        # so a tree edited in place after that is not seen until trees_ is
-        # assigned again: only this setter drops the table.
         self._trees = tuple(trees)
-        self._routes = None
+        self._routes = _Routes(self._trees)
 
     def fit(self, X, y):
         check("n_trees", self.n_trees)
@@ -481,22 +475,17 @@ class BaggedTreesClassifier(ParamsMixin):
         self.feature_names_ = FEATURE_NAMES
         return self
 
-    def _votes(self, X):
-        if self._routes is None:
-            self._routes = _Routes(self._trees)
-        return self._routes.votes(X)
-
     def predict(self, X):
-        votes = self._votes(X)
+        votes = self._routes.votes(X)
         return (votes * 2 > len(self.trees_)).astype(np.int64)  # tie -> 0
 
     def predict_confidence(self, X):
-        return self._votes(X) / float(len(self.trees_))
+        return self._routes.votes(X) / float(len(self.trees_))
 
     def predict_one(self, features):
         """(label, confidence) for a single feature vector or RegionFeatures."""
         vec = features.as_vector() if hasattr(features, "as_vector") else features
-        votes = int(self._votes(np.asarray(vec, dtype=np.float64).reshape(1, 3))[0])
+        votes = int(self._routes.votes(np.asarray(vec, dtype=np.float64).reshape(1, 3))[0])
         return int(votes * 2 > len(self.trees_)), votes / len(self.trees_)
 
 
@@ -549,12 +538,7 @@ def cross_validate(X, y, k=CV_FOLDS, seed=DEFAULTS.seed, groups=None, workers=DE
         tasks.append((X[train_mask], y[train_mask], X[test_idx], y[test_idx],
                       seed + fold_index + 1, model_params))
 
-    if workers <= 1:
-        accuracies = [_fold_accuracy(task) for task in tasks]
-    else:
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=min(workers, k), mp_context=spawn) as pool:
-            accuracies = list(pool.map(_fold_accuracy, tasks))
+    accuracies = map_tasks(_fold_accuracy, tasks, min(workers, k))
     return {"fold_accuracies": accuracies, "mean_accuracy": float(np.mean(accuracies))}
 
 
@@ -661,19 +645,19 @@ def load_model(path) -> BaggedTreesClassifier:
         (n_nodes,) = take("<I")
         if n_nodes == 0:
             raise ModelFormatError("tree with zero nodes")
-        tree = DecisionTree()
+        nodes = []  # (feature, threshold, left, right, counts) per node
         for node in range(n_nodes):
             (kind,) = take("<b")
             if kind == 0:
                 f, threshold, left, right = take("<Bdii")
                 if f >= len(names) or not (node < left < n_nodes and node < right < n_nodes):
                     raise ModelFormatError(f"split node {node} has a bad feature or child index")
-                tree.add_node(f, threshold, left, right)
+                nodes.append((f, threshold, left, right, None))
             elif kind == 1:
-                tree.add_node(counts=take("<II"))
+                nodes.append((-1, 0.0, -1, -1, take("<II")))
             else:
                 raise ModelFormatError(f"unknown node kind {kind}")
-        trees.append(tree)
+        trees.append(DecisionTree(*zip(*nodes)))
     if pos != len(data):
         raise ModelFormatError("trailing bytes after the last tree")
     model.trees_ = trees

@@ -6,12 +6,12 @@ may fan them out; results come back in slice order, making the output
 identical for any worker count.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analytics import SliceDetection, build_report
+from .base import map_tasks
 from .config import DEFAULTS, PipelineConfig
 from .errors import SliceError
 from .features import RegionFeatures, feature_vector
@@ -68,10 +68,7 @@ def _slice_task(payload):
 def segment_series(slices, config: PipelineConfig, workers=DEFAULTS.threads):
     """Candidates for every slice, ordered by slice index."""
     tasks = [(i, np.asarray(img), config) for i, img in enumerate(slices)]
-    if workers <= 1:
-        return [_slice_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_slice_task, tasks))
+    return map_tasks(_slice_task, tasks, workers)
 
 
 def classify_series(series: CtSeries, model, config: PipelineConfig, workers=DEFAULTS.threads):

@@ -444,19 +444,23 @@ def _exit_in_worker(payload):
     os._exit(1)
 
 
-def test_dead_worker_exits_2(monkeypatch, phantom_dir, model_file, tmp_path, capsys):
+def test_dead_worker_exits_2(monkeypatch, phantom_dir, model_file, corpus_csv, tmp_path, capsys):
+    import lungct.ensemble as ensemble
     import lungct.pipeline as pipeline
 
     monkeypatch.setattr(pipeline, "_slice_task", _exit_in_worker)
+    monkeypatch.setattr(ensemble, "_fold_accuracy", _exit_in_worker)
     series_dir, _ = phantom_dir
     for command in (
         ["analyze", str(series_dir), "--model", str(model_file), "--out", str(tmp_path)],
         ["extract-features", str(series_dir), "--out", str(tmp_path / "f.csv")],
+        ["train", str(corpus_csv), "--out", str(tmp_path / "m.lctm")],
     ):
         assert main(command + ["--threads", "2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "PH001").exists()
+    assert not (tmp_path / "m.lctm").exists()
 
 
 def test_zero_window_width_on_dicom_exits_4(model_file, tmp_path, capsys):

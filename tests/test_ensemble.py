@@ -1,5 +1,6 @@
 """Trees, bagging, cross-validation, metrics and model persistence."""
 
+import dataclasses
 import hashlib
 import struct
 
@@ -334,42 +335,40 @@ def test_routing_follows_trees_assigned_to_a_fitted_model():
     model = BaggedTreesClassifier(n_trees=5, seed=1).fit(X, y)
     other = BaggedTreesClassifier(n_trees=3, seed=2, max_depth=2).fit(X, y)
     probe = _probe_rows(model, X, 3)
-    model.predict(probe)  # builds the routing table of the fitted trees
+    model.predict(probe)  # routes through the fitted trees first
     model.trees_ = list(other.trees_)
     votes = np.array([sum(tree.predict_one(row) for tree in other.trees_) for row in probe])
     assert model.predict_confidence(probe).tolist() == (votes / 3).tolist()
     assert model.predict(probe).tolist() == other.predict(probe).tolist()
     # Hand-built trees: a stump on feature 2 and a two-level tree.
-    stump = DecisionTree()
-    stump.add_node(2, 50.0, 1, 2)
-    stump.add_node(counts=(1, 4))
-    stump.add_node(counts=(4, 1))
-    deep = DecisionTree()
-    deep.add_node(0, 1000.0, 1, 4)
-    deep.add_node(1, 100.0, 2, 3)
-    deep.add_node(counts=(0, 3))
-    deep.add_node(counts=(3, 0))
-    deep.add_node(counts=(2, 2))
+    stump = DecisionTree(feature=[2, -1, -1], threshold=[50.0, 0.0, 0.0], left=[1, -1, -1],
+                         right=[2, -1, -1], counts=[None, (1, 4), (4, 1)])
+    deep = DecisionTree(feature=[0, 1, -1, -1, -1], threshold=[1000.0, 100.0, 0.0, 0.0, 0.0],
+                        left=[1, 2, -1, -1, -1], right=[4, 3, -1, -1, -1],
+                        counts=[None, None, (0, 3), (3, 0), (2, 2)])
     model.trees_ = [stump, deep]
     rows = np.array([[999.0, 100.0, 50.0], [999.0, 101.0, 50.0], [1000.5, 0.0, 51.0]])
     assert model.predict_confidence(rows).tolist() == [1.0, 0.5, 0.0]
     assert model.predict_one(rows[0]) == (1, 1.0)
 
 
-def test_a_tree_edited_in_place_is_seen_once_trees_is_assigned_again():
-    stump = DecisionTree()
-    stump.add_node(0, 10.0, 1, 2)
-    stump.add_node(counts=(0, 3))
-    stump.add_node(counts=(3, 0))
-    model = BaggedTreesClassifier(n_trees=1)
-    model.trees_ = [stump]
-    row = np.array([5.0, 0.0, 0.0])
-    assert model.predict_one(row) == (1, 1.0)
-    stump.threshold[0] = 1.0  # the row now goes right, to the 0 leaf
-    assert stump.predict_one(row) == 0
-    assert model.predict_one(row) == (1, 1.0)  # the kept table still routes left
-    model.trees_ = model.trees_
-    assert model.predict_one(row) == (0, 0.0)
+def test_fitted_and_loaded_trees_cannot_be_changed(tmp_path):
+    X, y, _, _ = make_feature_corpus(300, seed=4)
+    model = BaggedTreesClassifier(n_trees=3, seed=1).fit(X, y)
+    save_model(model, tmp_path / "m.lctm")
+    loaded = load_model(tmp_path / "m.lctm")
+    probe = _probe_rows(model, X, 4)
+    before = model.predict_confidence(probe).tolist()
+    for tree in model.trees_ + loaded.trees_:
+        for column in ("feature", "threshold", "left", "right", "counts"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(tree, column, [])
+            with pytest.raises(TypeError):
+                getattr(tree, column)[0] = getattr(tree, column)[0]
+    with pytest.raises(TypeError):
+        model.trees_[0] = loaded.trees_[0]
+    assert model.predict_confidence(probe).tolist() == before
+    assert loaded.predict_confidence(probe).tolist() == before
 
 
 def test_predict_vote_arithmetic():
