@@ -7,17 +7,24 @@ in scikit-learn as a dependency.
 """
 
 import inspect
-from concurrent.futures import ProcessPoolExecutor
+
+from .errors import IngestError
 
 
 def map_tasks(fn, tasks, workers):
     """``[fn(task) for task in tasks]``: with ``workers`` above 1 the calls
     run in a pool of that many processes, and the results still come back
-    in task order. A worker that dies raises ``BrokenProcessPool``."""
+    in task order. A worker that dies raises :class:`IngestError`."""
     if workers <= 1:
         return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+    # Imported here, so a serial run never loads multiprocessing.
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
+    except BrokenProcessPool as exc:
+        raise IngestError(f"a worker process died: {exc}") from exc
 
 
 class ParamsMixin:

@@ -12,7 +12,6 @@ import shutil
 import sys
 import time
 import warnings
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
 from pathlib import Path
 
@@ -190,10 +189,7 @@ def cmd_extract_features(args):
     rows = []
     for slice_index, candidates in enumerate(per_slice):
         for cand in candidates:
-            if positive_slices is None:
-                label = -1
-            else:
-                label = 1 if slice_index in positive_slices else 0
+            label = -1 if positive_slices is None else int(slice_index in positive_slices)
             f = cand.features
             rows.append(
                 (series.patient_id, slice_index, f.size_px, f.mean_intensity,
@@ -279,7 +275,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (IngestError, BrokenProcessPool) as exc:  # a worker process that died included
+    except IngestError as exc:
         return _fail(EXIT_INGEST, exc)
     except ModelError as exc:
         return _fail(EXIT_MODEL, exc)

@@ -104,10 +104,6 @@ class PipelineConfig:
 
         return self._kwargs_for(BaggedTreesClassifier)
 
-    def to_text(self):
-        lines = [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)]
-        return "\n".join(lines) + "\n"
-
 
 _RANGES = {f.name: f.metadata["range"] for f in fields(PipelineConfig)}
 _COMPARE = {"[": (ge, ">="), "(": (gt, ">"), "]": (le, "<="), ")": (lt, "<")}

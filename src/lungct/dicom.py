@@ -41,6 +41,8 @@ TAG_PIXEL_DATA = (0x7FE0, 0x0010)
 # Explicit-VR codes that use the 4-byte length form (2 reserved bytes first).
 _LONG_VRS = {b"OB", b"OW", b"OF", b"SQ", b"UT", b"UN"}
 _UNDEFINED_LENGTH = 0xFFFFFFFF
+# Supported transfer syntax -> explicit VR; a file meta group without one is explicit.
+_EXPLICIT_VR = {"": True, TS_EXPLICIT_LE: True, TS_IMPLICIT_LE: False}
 
 
 @dataclass(eq=False)
@@ -65,45 +67,39 @@ class DicomObject:
     pixel_data: np.ndarray
 
 
-class _Reader:
-    def __init__(self, data, offset=0):
-        self.data = data
-        self.pos = offset
+def is_dicom(data):
+    """Whether ``data`` carries the "DICM" magic after the 128-byte preamble (PS3.10 7.1)."""
+    return data[PREAMBLE_LEN : PREAMBLE_LEN + 4] == MAGIC
 
-    def remaining(self):
-        return len(self.data) - self.pos
 
-    def take(self, n, what="bytes"):
-        if self.remaining() < n:
-            raise FormatError(f"truncated file while reading {what}")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def peek_u16(self):
-        if self.remaining() < 2:
-            return None
-        return struct.unpack_from("<H", self.data, self.pos)[0]
-
-    def read_element(self, explicit):
-        """Return ((group, element), value_bytes) for the next data element."""
-        group, element = struct.unpack("<HH", self.take(4, "element tag"))
-        tag = (group, element)
-        if explicit:
-            vr = self.take(2, "VR")
-            if vr in _LONG_VRS:
-                self.take(2, "reserved length bytes")
-                (length,) = struct.unpack("<I", self.take(4, "element length"))
-            else:
-                (length,) = struct.unpack("<H", self.take(2, "element length"))
+def _read_elements(data, pos, explicit, group=None):
+    """Read data elements (PS3.5 7.1) from ``pos`` while at least 8 bytes remain
+    and, given ``group``, while the next element is in that group.
+    Returns ``({(group, element): value bytes}, position after the last one)``."""
+    elements = {}
+    while len(data) - pos >= 8:
+        tag = struct.unpack_from("<HH", data, pos)
+        if group is not None and tag[0] != group:
+            break
+        # (length format, its offset, the value's offset) within the element
+        if explicit and data[pos + 4 : pos + 6] in _LONG_VRS:
+            fmt, at, start = "<I", 8, 12
         else:
-            (length,) = struct.unpack("<I", self.take(4, "element length"))
+            fmt, at, start = ("<H", 6, 8) if explicit else ("<I", 4, 8)
+        if len(data) - pos < start:
+            raise FormatError("truncated file while reading element length")
+        (length,) = struct.unpack_from(fmt, data, pos + at)
+        name = f"{tag[0]:04X},{tag[1]:04X}"
         if length == _UNDEFINED_LENGTH:
             raise UnsupportedError(
-                f"element {group:04X},{element:04X} has undefined length; "
-                "only defined-length values are supported"
+                f"element {name} has undefined length; only defined-length values are supported"
             )
-        return tag, self.take(length, f"value of ({group:04X},{element:04X})")
+        pos += start
+        if len(data) - pos < length:
+            raise FormatError(f"truncated file while reading value of ({name})")
+        elements[tag] = data[pos : pos + length]
+        pos += length
+    return elements, pos
 
 
 def _decode_text(raw):
@@ -159,30 +155,16 @@ def parse_dicom(
         A tag the pipeline cannot default is absent.
     """
     default_thickness_mm, default_spacing_mm = check_geometry(default_thickness_mm, default_spacing_mm)
-    if len(data) < PREAMBLE_LEN + 4 or data[PREAMBLE_LEN : PREAMBLE_LEN + 4] != MAGIC:
+    if not is_dicom(data):
         raise FormatError('missing "DICM" magic after the 128-byte preamble')
-
-    reader = _Reader(data, PREAMBLE_LEN + 4)
-
-    # File meta group (0002,xxxx) is always explicit VR little endian.
-    meta = {}
-    while reader.remaining() >= 8 and reader.peek_u16() == 0x0002:
-        tag, value = reader.read_element(explicit=True)
-        meta[tag] = value
-
+    # The file meta group (0002,xxxx) is always explicit VR little endian.
+    meta, pos = _read_elements(data, PREAMBLE_LEN + 4, explicit=True, group=0x0002)
     transfer_syntax = _decode_text(meta.get(TAG_TRANSFER_SYNTAX, b""))
-    if transfer_syntax in ("", TS_EXPLICIT_LE):
-        explicit = True
-    elif transfer_syntax == TS_IMPLICIT_LE:
-        explicit = False
-    else:
+    explicit = _EXPLICIT_VR.get(transfer_syntax)
+    if explicit is None:
         raise UnsupportedError(f"unsupported transfer syntax {transfer_syntax!r}")
-
-    tags = {}
-    while reader.remaining() >= 8:
-        tag, value = reader.read_element(explicit)
-        tags[tag] = value
-    if reader.remaining():
+    tags, pos = _read_elements(data, pos, explicit)
+    if pos != len(data):
         raise FormatError("trailing bytes after the last complete data element")
 
     rows = _decode_us(_require(tags, TAG_ROWS), TAG_ROWS)
@@ -207,12 +189,8 @@ def parse_dicom(
     except ValueError as exc:
         raise FormatError(f"malformed InstanceNumber {instance_raw!r}") from exc
 
-    slope = 1.0
-    if TAG_RESCALE_SLOPE in tags:
-        slope = _decode_ds(tags[TAG_RESCALE_SLOPE], TAG_RESCALE_SLOPE)[0]
-    intercept = 0.0
-    if TAG_RESCALE_INTERCEPT in tags:
-        intercept = _decode_ds(tags[TAG_RESCALE_INTERCEPT], TAG_RESCALE_INTERCEPT)[0]
+    slope = _decode_ds(tags.get(TAG_RESCALE_SLOPE, b"1"), TAG_RESCALE_SLOPE)[0]
+    intercept = _decode_ds(tags.get(TAG_RESCALE_INTERCEPT, b"0"), TAG_RESCALE_INTERCEPT)[0]
 
     if TAG_SLICE_THICKNESS in tags:
         thickness = _decode_ds(tags[TAG_SLICE_THICKNESS], TAG_SLICE_THICKNESS)[0]

@@ -230,8 +230,7 @@ class _Routes:
             self.depth += 1
 
     def votes(self, X):
-        """How many trees vote 1 on each row of ``X``."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        """How many trees vote 1 on each row of the 2-D float64 array ``X``."""
         rows = np.arange(len(X))[:, None]
         j = np.broadcast_to(self.roots, (len(X), len(self.roots)))
         for _ in range(self.depth):
@@ -421,6 +420,14 @@ def _training_arrays(X, y, min_leaf, max_depth):
     return X, y
 
 
+def _feature_rows(X, width):
+    """``X`` as a 2-D float64 array of rows of ``width`` features; ValueError otherwise."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.ndim != 2 or X.shape[1] != width:
+        raise ValueError(f"expected rows of {width} features, got an array of shape {X.shape}")
+    return X
+
+
 def train_tree(X, y, min_leaf=DEFAULTS.min_leaf, max_depth=DEFAULTS.max_depth) -> DecisionTree:
     """Grow one tree by greedy Gini splits with deterministic tie-breaking."""
     X, y = _training_arrays(X, y, min_leaf, max_depth)
@@ -436,6 +443,9 @@ class BaggedTreesClassifier(ParamsMixin):
     The predicted label is the majority vote, ties conservatively going
     to 0; the confidence is the fraction of trees voting 1.
     """
+
+    # A row to predict has one value per name: fit's, load_model's from the file, else these.
+    feature_names_ = FEATURE_NAMES
 
     def __init__(self, n_trees=DEFAULTS.n_trees, seed=DEFAULTS.seed, min_leaf=DEFAULTS.min_leaf,
                  max_depth=DEFAULTS.max_depth):
@@ -456,6 +466,7 @@ class BaggedTreesClassifier(ParamsMixin):
     def fit(self, X, y):
         check("n_trees", self.n_trees)
         X, y = _training_arrays(X, y, self.min_leaf, self.max_depth)
+        X = _feature_rows(X, len(FEATURE_NAMES))
         if len(y) == 0:
             raise EmptyTrainingSetError("cannot fit on zero samples")
         if len(y) < 2 or len(np.unique(y)) < 2:
@@ -475,17 +486,20 @@ class BaggedTreesClassifier(ParamsMixin):
         self.feature_names_ = FEATURE_NAMES
         return self
 
+    def _votes(self, X):
+        return self._routes.votes(_feature_rows(X, len(self.feature_names_)))
+
     def predict(self, X):
-        votes = self._routes.votes(X)
+        votes = self._votes(X)
         return (votes * 2 > len(self.trees_)).astype(np.int64)  # tie -> 0
 
     def predict_confidence(self, X):
-        return self._routes.votes(X) / float(len(self.trees_))
+        return self._votes(X) / float(len(self.trees_))
 
     def predict_one(self, features):
         """(label, confidence) for a single feature vector or RegionFeatures."""
         vec = features.as_vector() if hasattr(features, "as_vector") else features
-        votes = int(self._routes.votes(np.asarray(vec, dtype=np.float64).reshape(1, 3))[0])
+        votes = int(self._votes(np.asarray(vec, dtype=np.float64).reshape(1, -1))[0])
         return int(votes * 2 > len(self.trees_)), votes / len(self.trees_)
 
 
@@ -509,6 +523,8 @@ def cross_validate(X, y, k=CV_FOLDS, seed=DEFAULTS.seed, groups=None, workers=DE
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
+    if len(X) != len(y):
+        raise LengthMismatchError(f"X has {len(X)} rows but there are {len(y)} labels")
     if len(np.unique(y)) < 2:
         raise SingleClassError("cross-validation needs both classes")
     groups = range(len(y)) if groups is None else groups

@@ -89,7 +89,7 @@ class FoldTooSmallError(InputError):
 
 
 class LengthMismatchError(InputError):
-    """Prediction and label sequences differ in length."""
+    """Two sequences that must pair up one to one (such as features and labels) differ in length."""
 
 
 class ModelFormatError(ModelError):

@@ -1,5 +1,6 @@
 """Series ingestion: DICOM (or PGM fallback) files to an ordered slice stack."""
 
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import DEFAULTS, check, check_geometry
-from .dicom import MAGIC, PREAMBLE_LEN, DicomObject, parse_dicom
+from .dicom import DicomObject, is_dicom, parse_dicom
 from .errors import EmptySeriesError, FormatError, MixedSeriesError, SeriesShapeError
 from .validation import as_gray_image, round_half_away
 
@@ -64,6 +65,10 @@ def to_gray8(obj: DicomObject, window_center=DEFAULTS.window_center,
 
 # --- PGM fallback -------------------------------------------------------------
 
+# Whitespace, then a "#" comment to the end of its line or a header field (None at the end).
+_PGM_TOKEN = re.compile(rb"\s*(#[^\n]*|\S+)?")
+
+
 def read_pgm(data: bytes):
     """Read a binary (P5) PGM image with maxval 255."""
     if not data.startswith(b"P5"):
@@ -71,18 +76,12 @@ def read_pgm(data: bytes):
     pos = 2
     fields = []
     while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
+        token = _PGM_TOKEN.match(data, pos)
+        pos = token.end()
+        if token[1] is None:
             raise FormatError("truncated PGM header")
-        fields.append(data[start:pos])
+        if not token[1].startswith(b"#"):
+            fields.append(token[1])
     pos += 1  # single whitespace byte after maxval
     try:
         width, height, maxval = (int(f) for f in fields)
@@ -106,10 +105,6 @@ def write_pgm(path, img):
 
 
 # --- series assembly ----------------------------------------------------------
-
-def _looks_like_dicom(data):
-    return len(data) >= PREAMBLE_LEN + 4 and data[PREAMBLE_LEN : PREAMBLE_LEN + 4] == MAGIC
-
 
 def load_series(
     directory,
@@ -151,7 +146,7 @@ def load_series(
         except OSError as exc:
             warnings.warn(f"skipping {path.name}: {exc}", stacklevel=2)
             continue
-        if _looks_like_dicom(data):
+        if is_dicom(data):
             try:
                 obj = parse_dicom(data, thickness, spacing)
             except Exception as exc:  # noqa: BLE001 - tolerate junk neighbours

@@ -1,7 +1,7 @@
 """Flat grayscale morphology on 8-bit images.
 
 Disk structuring elements, erosion/dilation and their compositions,
-geodesic reconstruction, regional extrema and minima imposition. All
+geodesic reconstruction, regional maxima and minima imposition. All
 operators treat the image border by shrinking the neighborhood: pixels
 outside the image simply do not participate. The kernel pads with 0, the
 identity of max on uint8 and bool, which amounts to the same.
@@ -331,11 +331,6 @@ def _regional_maxima(arr):
 def regional_maxima(img):
     """Mask of connected plateaus with no strictly brighter neighbor."""
     return _regional_maxima(as_gray_image(img))
-
-
-def regional_minima(img):
-    """Mask of connected plateaus with no strictly darker neighbor."""
-    return _regional_maxima(~as_gray_image(img))
 
 
 def impose_minima(img, markers):

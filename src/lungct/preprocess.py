@@ -51,8 +51,8 @@ def remap_intensity(img, band_lo=DEFAULTS.band_lo, band_hi=DEFAULTS.band_hi):
 
 
 def apply_central_strip(img, width_fraction=DEFAULTS.strip_width_fraction,
-                        blackout_fraction=DEFAULTS.blackout_fraction, value=STRIP_VALUE):
-    """Paint a vertical strip of ``value`` through the image center.
+                        blackout_fraction=DEFAULTS.blackout_fraction):
+    """Paint a vertical strip of ``STRIP_VALUE`` through the image center.
 
     The strip is ``floor(width_fraction * width)`` pixels wide, widened to
     the symmetric odd span around the central column, and only covers rows
@@ -68,7 +68,7 @@ def apply_central_strip(img, width_fraction=DEFAULTS.strip_width_fraction,
     if strip:
         half, center = strip // 2, width // 2
         band = int(np.floor(blackout_fraction * height))
-        out[band : height - band, max(0, center - half) : min(width, center + half + 1)] = value
+        out[band : height - band, max(0, center - half) : min(width, center + half + 1)] = STRIP_VALUE
     return out
 
 

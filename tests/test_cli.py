@@ -291,6 +291,16 @@ def test_every_public_name_resolves_lazily():
     assert result.returncode == 0, result.stderr
 
 
+def test_importing_the_cli_loads_no_process_pool_machinery():
+    result = _run_python(
+        "import sys\n"
+        "import lungct.cli\n"
+        "loaded = [m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))]\n"
+        "assert not loaded, loaded\n"
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_import_binds_the_image_processing_submodules():
     result = _run_python(
         "import sys\n"
@@ -685,13 +695,6 @@ def test_missing_config_file_exits_4(phantom_dir, model_file, corpus_csv, tmp_pa
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
-
-
-def test_config_text_roundtrip(tmp_path):
-    config = PipelineConfig(band_lo=101, threads=2)
-    path = tmp_path / "c.cfg"
-    path.write_text(config.to_text())
-    assert PipelineConfig.from_file(path) == config
 
 
 def test_layer_defaults_are_the_config_defaults(rng):

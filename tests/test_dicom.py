@@ -1,5 +1,7 @@
 """Parser tests against hand-built fixtures plus the 8-bit conversion."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from lungct.dicom import (
     TAG_ROWS,
     parse_dicom,
 )
-from lungct.errors import FormatError, MissingTagError, UnsupportedError
+from lungct.errors import FormatError, IngestError, MissingTagError, UnsupportedError
 from lungct.ingest import to_gray8
 
 from _dicom_fixture import assert_same_parse, build_dicom, element_explicit, element_implicit
@@ -200,6 +202,17 @@ def test_defined_length_sequence_is_skipped():
     obj = parse_dicom(build_dicom(extra_elements=(sq,), **BASE))
     assert (0x0008, 0x1140) in obj.tags
     assert obj.rows == 2
+
+
+@pytest.mark.parametrize("explicit", [True, False])
+def test_every_prefix_parses_whole_or_raises_an_ingest_error(explicit):
+    data = build_dicom(explicit=explicit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the fixture has no SliceThickness
+        parse_dicom(data)
+        for end in range(len(data)):
+            with pytest.raises(IngestError):
+                parse_dicom(data[:end])
 
 
 def test_undefined_length_rejected():

@@ -494,6 +494,34 @@ def test_cv_groups_never_split():
         cross_validate(X, y, k=16, seed=0, groups=groups)
 
 
+def test_cv_rejects_features_and_labels_of_different_lengths():
+    X, y, _, _ = make_feature_corpus(200, seed=2)
+    with pytest.raises(LengthMismatchError, match="150 rows but there are 200 labels"):
+        cross_validate(X[:150], y, k=5)
+
+
+def test_fit_rejects_a_width_other_than_the_three_features():
+    X, y = _separable(60)
+    wide = np.hstack([X, X])
+    with pytest.raises(ValueError, match=r"rows of 3 features, got an array of shape \(60, 6\)"):
+        BaggedTreesClassifier(n_trees=3).fit(wide, y)
+    with pytest.raises(ValueError, match="rows of 3 features"):
+        BaggedTreesClassifier(n_trees=3).fit(X[:, :2], y)
+    assert train_tree(wide, y).n_nodes >= 1  # a single tree takes any width
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_prediction_rejects_a_width_other_than_the_models(tmp_path, width):
+    X, y = _separable(60)
+    save_model(BaggedTreesClassifier(n_trees=3).fit(X, y), tmp_path / "m.lctm")
+    rows = np.ones((5, width))
+    for model in (BaggedTreesClassifier(n_trees=3).fit(X, y), load_model(tmp_path / "m.lctm")):
+        for predict, arg in ((model.predict, rows), (model.predict_confidence, rows),
+                             (model.predict_one, rows[0])):
+            with pytest.raises(ValueError, match="rows of 3 features"):
+                predict(arg)
+
+
 # --- metrics ----------------------------------------------------------------------------
 
 def _table3_vectors():

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lungct.dicom import parse_dicom
 from lungct.errors import EmptySeriesError, FormatError, MixedSeriesError, SeriesShapeError
@@ -226,6 +228,26 @@ def test_pgm_roundtrip(tmp_path, rng):
 def test_pgm_with_comment():
     img = read_pgm(b"P5\n# a comment\n2 2\n255\n" + bytes([1, 2, 3, 4]))
     assert img.tolist() == [[1, 2], [3, 4]]
+
+
+_SEPARATORS = st.lists(
+    st.one_of(
+        st.text(" \t\n\r\v\f", min_size=1, max_size=3),
+        st.text(st.characters(blacklist_characters="\n\r", max_codepoint=126), max_size=8).map(
+            lambda comment: f"\n#{comment}\n"
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+).map("".join)
+
+
+@given(_SEPARATORS, _SEPARATORS, _SEPARATORS)
+def test_pgm_header_whitespace_and_comments_read_as_the_same_image(before_width, before_height,
+                                                                    before_maxval):
+    header = f"P5{before_width}3{before_height}2{before_maxval}255\n".encode("ascii")
+    img = read_pgm(header + bytes(range(6)))
+    assert img.tolist() == [[0, 1, 2], [3, 4, 5]]
 
 
 def test_pgm_bad_magic():

@@ -24,7 +24,6 @@ from lungct.morphology import (
     reconstruct_by_dilation,
     reconstruct_by_erosion,
     regional_maxima,
-    regional_minima,
 )
 from lungct.phantom import make_phantom_series
 from lungct.preprocess import preprocess_slice
@@ -442,7 +441,6 @@ def test_regional_maxima_constant_image_is_one_plateau():
 def test_regional_extrema_of_constant_image_at_either_end_of_the_range(value):
     img = np.full((5, 8), value, dtype=np.uint8)
     assert regional_maxima(img).all()
-    assert regional_minima(img).all()
 
 
 def test_regional_maxima_single_peak():
@@ -516,7 +514,6 @@ def test_regional_maxima_plateau_top_in_one_part_leaking_in_another():
     expected = np.zeros((6, 8), dtype=bool)
     expected[3, 6] = True
     assert np.array_equal(regional_maxima(img), expected)
-    assert np.array_equal(regional_minima(255 - img), expected)
     img[3, 6] = 4  # without the 7 the whole plateau is a maximum
     assert np.array_equal(regional_maxima(img), img == 5)
 
@@ -525,13 +522,11 @@ def test_regional_maxima_plateau_top_in_one_part_leaking_in_another():
 def test_regional_extrema_on_single_row_and_column_images(shape, rng):
     line = np.array([1, 3, 3, 2, 5, 5, 5, 0, 0, 4, 4, 2], dtype=np.uint8).reshape(shape)
     assert np.flatnonzero(regional_maxima(line)).tolist() == [1, 2, 4, 5, 6, 9, 10]
-    assert np.flatnonzero(regional_minima(line)).tolist() == [0, 3, 7, 8, 11]
     for _ in range(20):
         img = rng.integers(0, 4, shape).astype(np.uint8)
         assert np.array_equal(regional_maxima(img), plateau_regional_maxima(img))
-        assert np.array_equal(regional_minima(img), plateau_regional_minima(img))
     single = np.full((1, 1), 7, dtype=np.uint8)
-    assert regional_maxima(single).all() and regional_minima(single).all()
+    assert regional_maxima(single).all()
 
 
 def test_regional_extrema_match_reconstruction_definition_on_phantom_slices():
@@ -545,7 +540,6 @@ def test_regional_extrema_match_reconstruction_definition_on_phantom_slices():
             maxima = regional_maxima(img)
             assert maxima.any()
             assert np.array_equal(maxima, reconstruction_regional_maxima(img))
-            assert np.array_equal(regional_minima(img), reconstruction_regional_minima(img))
 
 
 def test_reconstruction_oracle_agrees_with_plateau_oracle(rng):
@@ -558,11 +552,6 @@ def test_reconstruction_oracle_agrees_with_plateau_oracle(rng):
 def test_regional_maxima_invariant_under_constant_shift(rng):
     img = rng.integers(0, 200, (16, 16)).astype(np.uint8)
     assert np.array_equal(regional_maxima(img), regional_maxima(img + 40))
-
-
-def test_regional_minima_matches_oracle(rng):
-    img = rng.integers(0, 12, (14, 14)).astype(np.uint8)
-    assert np.array_equal(regional_minima(img), plateau_regional_minima(img))
 
 
 # --- minima imposition -------------------------------------------------------------------
@@ -632,11 +621,11 @@ def test_impose_minima_values_match_textbook_formula_on_phantom_slices():
 
 # --- results are new arrays --------------------------------------------------------
 
-_BOOL_RESULTS = {"regional_maxima", "regional_minima", "erode_mask", "dilate_mask"}
+_BOOL_RESULTS = {"regional_maxima", "erode_mask", "dilate_mask"}
 _PUBLIC = (
     "erode", "dilate", "open_image", "close_image", "reconstruct_by_dilation",
     "reconstruct_by_erosion", "open_by_reconstruction", "close_by_reconstruction",
-    "regional_maxima", "regional_minima", "impose_minima", "erode_mask", "dilate_mask",
+    "regional_maxima", "impose_minima", "erode_mask", "dilate_mask",
 )
 
 
@@ -657,7 +646,6 @@ def test_results_never_alias_or_change_their_inputs(name, radius, rng):
         "open_by_reconstruction": (open_by_reconstruction, (img, se)),
         "close_by_reconstruction": (close_by_reconstruction, (img, se)),
         "regional_maxima": (regional_maxima, (img,)),
-        "regional_minima": (regional_minima, (img,)),
         "impose_minima": (impose_minima, (img, markers)),
         "erode_mask": (erode_mask, (markers, se)),
         "dilate_mask": (dilate_mask, (markers, se)),
