@@ -1,8 +1,9 @@
 """Command-line interface: analyze a series, train, extract features, evaluate.
 
 Exit codes: 0 success, 2 series/ingest errors (a failed slice or a dead
-worker process included), 3 model errors, 4 malformed CSV/labels/config input
-or an unwritable output. ``main`` alone maps failures to these codes.
+worker process included), 3 model errors, 4 a usage error, malformed
+CSV/labels/config input or an unwritable output. ``main`` alone maps
+failures to these codes.
 """
 
 import argparse
@@ -17,7 +18,7 @@ from pathlib import Path
 
 from . import __version__, pipeline
 from .analytics import report_to_json, report_to_text
-from .config import PipelineConfig, range_text
+from .config import DEFAULTS, PipelineConfig, range_text
 from .ensemble import (
     CV_FOLDS,
     BaggedTreesClassifier,
@@ -41,16 +42,30 @@ def _fail(code, message):
     return code
 
 
-def _add_config_flags(parser):
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are input errors, so ``main`` maps them to exit 4."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
+def _settings_parser(names):
+    """A parent parser holding ``--config`` and a flag for each config field in ``names``."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--config", help="key = value config file; it may set every config key")
     for f in fields(PipelineConfig):
-        parser.add_argument("--" + f.name.replace("_", "-"), type=f.type,
-                            help=f"override config {f.name} (default {f.default}, "
-                                 f"range {range_text(f.name)})")
+        if f.name in names:
+            parser.add_argument("--" + f.name.replace("_", "-"), type=f.type,
+                                help=f"override config {f.name} (default {f.default}, "
+                                     f"range {range_text(f.name)})")
+    return parser
 
 
 def _load_config(args):
+    """The ``--config`` file's settings (or the defaults), overridden by the
+    command's settings flags; a field the command has no flag for is kept."""
     config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    return config.override(**{f.name: getattr(args, f.name) for f in fields(PipelineConfig)})
+    return config.override(**{f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)})
 
 
 def _load_series(args, config):
@@ -231,37 +246,38 @@ def cmd_eval(args):
 # --- parser --------------------------------------------------------------------
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lungct",
         description="Batch lung-CT tumour detection, segmentation and analysis.",
     )
     parser.add_argument("--version", action="version", version=f"lungct {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each command takes the settings flags of the layers it runs: the image
+    # settings, or the classifier's; a --config file may set every key.
+    classifier = DEFAULTS.classifier_kwargs().keys()
+    image = _settings_parser({f.name for f in fields(PipelineConfig)} - classifier)
+    training = _settings_parser(classifier | {"threads"})
 
-    p = sub.add_parser("analyze", help="run the full pipeline over one series directory")
+    p = sub.add_parser("analyze", parents=[image],
+                       help="run the full pipeline over one series directory")
     p.add_argument("series_dir", help="directory of DICOM (or PGM) slices for one patient")
     p.add_argument("--model", required=True, help="trained classifier file")
-    p.add_argument("--config", help="key = value config file")
     p.add_argument("--out", default=".", help="root for the per-patient output folder")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("train", help="train the classifier from a feature CSV")
+    p = sub.add_parser("train", parents=[training], help="train the classifier from a feature CSV")
     p.add_argument("features_csv", help="CSV written by extract-features")
-    p.add_argument("--config", help="key = value config file")
     p.add_argument("--out", default="classifier.lctm", help="model file to write")
     p.add_argument("--cv-folds", type=int, default=CV_FOLDS, help="cross-validation folds")
     p.add_argument("--cv-split", choices=("patient", "slice"), default="patient",
                    help="fold at patient or slice granularity")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("extract-features", help="segment a series and emit its feature CSV")
+    p = sub.add_parser("extract-features", parents=[image],
+                       help="segment a series and emit its feature CSV")
     p.add_argument("series_dir")
     p.add_argument("--labels", help="labels file: 'patient_id: i,j,k' per line")
-    p.add_argument("--config", help="key = value config file")
     p.add_argument("--out", default="features.csv", help="CSV file to write")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_extract_features)
 
     p = sub.add_parser("eval", help="score a prediction/label CSV")
@@ -272,16 +288,16 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except IngestError as exc:
         return _fail(EXIT_INGEST, exc)
     except ModelError as exc:
         return _fail(EXIT_MODEL, exc)
     except (InputError, ValueError, OSError) as exc:
-        # Values or paths the user gave: the config, a CSV, the labels
-        # file, the display window, --out.
+        # Values or paths the user gave: the command line, the config, a
+        # CSV, the labels file, the display window, --out.
         return _fail(EXIT_INPUT, exc)
 
 

@@ -118,6 +118,14 @@ def _decode_ds(raw, tag):
     return values
 
 
+def _decode_ds_value(raw, tag, name):
+    """The first value of a decimal string that must hold one (a Type 1 tag)."""
+    values = _decode_ds(raw, tag)
+    if not values:
+        raise FormatError(f"empty {name} ({tag[0]:04X},{tag[1]:04X})")
+    return values[0]
+
+
 def _decode_us(raw, tag):
     if len(raw) != 2:
         raise FormatError(f"unsigned-short tag {tag} has length {len(raw)}")
@@ -137,7 +145,8 @@ def parse_dicom(
 ) -> DicomObject:
     """Parse one DICOM file image into a :class:`DicomObject`.
 
-    A slice without SliceThickness or PixelSpacing gets the given default.
+    A slice without SliceThickness (or with an empty one) or without
+    PixelSpacing gets the given default.
 
     Raises
     ------
@@ -145,8 +154,8 @@ def parse_dicom(
         A default outside its config field's range, checked before the data
         is read.
     FormatError
-        Missing "DICM" magic, truncation, malformed values, or Rows or
-        Columns of 0.
+        Missing "DICM" magic, truncation, malformed values, an empty
+        RescaleSlope or RescaleIntercept, or Rows or Columns of 0.
     UnsupportedError
         Transfer syntax other than little-endian implicit/explicit VR, a
         HighBit other than BitsStored - 1, or constructs that cannot be
@@ -189,11 +198,17 @@ def parse_dicom(
     except ValueError as exc:
         raise FormatError(f"malformed InstanceNumber {instance_raw!r}") from exc
 
-    slope = _decode_ds(tags.get(TAG_RESCALE_SLOPE, b"1"), TAG_RESCALE_SLOPE)[0]
-    intercept = _decode_ds(tags.get(TAG_RESCALE_INTERCEPT, b"0"), TAG_RESCALE_INTERCEPT)[0]
+    # Both are Type 1 in the CT Image Module (PS3.3 C.8.2.1); absent, they
+    # take the identity rescale.
+    slope = _decode_ds_value(tags.get(TAG_RESCALE_SLOPE, b"1"), TAG_RESCALE_SLOPE, "RescaleSlope")
+    intercept = _decode_ds_value(tags.get(TAG_RESCALE_INTERCEPT, b"0"), TAG_RESCALE_INTERCEPT,
+                                 "RescaleIntercept")
 
-    if TAG_SLICE_THICKNESS in tags:
-        thickness = _decode_ds(tags[TAG_SLICE_THICKNESS], TAG_SLICE_THICKNESS)[0]
+    # Type 2 in the Image Plane Module (PS3.3 C.7.6.2): an empty value means
+    # unknown, as an absent one does.
+    thickness_values = _decode_ds(tags.get(TAG_SLICE_THICKNESS, b""), TAG_SLICE_THICKNESS)
+    if thickness_values:
+        thickness = thickness_values[0]
         if thickness <= 0:
             raise FormatError(f"SliceThickness must be positive, got {thickness}")
     else:

@@ -70,7 +70,7 @@ _PGM_TOKEN = re.compile(rb"\s*(#[^\n]*|\S+)?")
 
 
 def read_pgm(data: bytes):
-    """Read a binary (P5) PGM image with maxval 255."""
+    """Read a binary (P5) PGM image with maxval 255 and a positive width and height."""
     if not data.startswith(b"P5"):
         raise FormatError("not a binary PGM file (missing P5 magic)")
     pos = 2
@@ -89,6 +89,8 @@ def read_pgm(data: bytes):
         raise FormatError("malformed PGM header") from exc
     if maxval != 255:
         raise FormatError(f"only maxval 255 PGM supported, got {maxval}")
+    if width <= 0 or height <= 0:
+        raise FormatError(f"PGM width and height must be positive, got {width}x{height}")
     expected = width * height
     raster = data[pos : pos + expected]
     if len(raster) != expected:

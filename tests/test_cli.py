@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from contextlib import nullcontext
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from lungct.watershed import compute_markers
 
 from _dicom_fixture import build_dicom
 
+CLASSIFIER_FIELDS = {"n_trees", "min_leaf", "max_depth", "seed"}
 SERIES_KW = dict(n_slices=6, size=512, tumour_slices=(2, 3), distractor_slices=(4,), seed=21)
 
 
@@ -611,7 +613,8 @@ def test_config_unknown_key_rejected(tmp_path):
     ("seed", 2**63), ("seed", -2**63 - 1),
     ("n_trees", 2**32), ("min_leaf", 2**32), ("max_depth", 2**32),
 ])
-def test_config_rejects_out_of_range_values(field, value, phantom_dir, model_file, tmp_path, capsys):
+def test_config_rejects_out_of_range_values(field, value, phantom_dir, model_file, corpus_csv,
+                                            tmp_path, capsys):
     with pytest.raises(ValueError, match=field):
         PipelineConfig(**{field: value})
     with pytest.raises(ValueError, match=field):
@@ -620,8 +623,13 @@ def test_config_rejects_out_of_range_values(field, value, phantom_dir, model_fil
     cfg_file.write_text(f"{field} = {value}\n")
     series_dir, _ = phantom_dir
     out = tmp_path / "out"
-    for extra in (["--config", str(cfg_file)], ["--" + field.replace("_", "-"), str(value)]):
-        assert main(["analyze", str(series_dir), "--model", str(model_file), "--out", str(out), *extra]) == 4
+    analyze = ["analyze", str(series_dir), "--model", str(model_file), "--out", str(out)]
+    # The flag goes to a command that takes it: classifier settings only to train.
+    flag_command = (["train", str(corpus_csv), "--out", str(out)]
+                    if field in CLASSIFIER_FIELDS else analyze)
+    for command in (analyze + ["--config", str(cfg_file)],
+                    flag_command + ["--" + field.replace("_", "-"), str(value)]):
+        assert main(command) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err and err.count("\n") == 1
     assert not out.exists()
@@ -681,6 +689,71 @@ def test_layers_reject_what_the_config_rejects(field, value, layer):
         layer(value)
     assert field in str(from_layer.value)
     assert str(from_layer.value) == str(from_config.value)
+
+
+def _settings_flags(command, capsys):
+    """The config fields whose flags ``lungct COMMAND --help`` lists."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = {flag[2:].replace("-", "_") for flag in re.findall(r"--[a-z-]+", capsys.readouterr().out)}
+    return listed & {f.name for f in fields(PipelineConfig)}
+
+
+def test_each_command_help_lists_exactly_its_settings_flags(capsys):
+    assert set(PipelineConfig().classifier_kwargs()) == CLASSIFIER_FIELDS
+    image = {f.name for f in fields(PipelineConfig)} - CLASSIFIER_FIELDS
+    assert len(image) == 13
+    assert _settings_flags("analyze", capsys) == image
+    assert _settings_flags("extract-features", capsys) == image
+    assert _settings_flags("train", capsys) == CLASSIFIER_FIELDS | {"threads"}
+    assert _settings_flags("eval", capsys) == set()
+
+
+@pytest.mark.parametrize("argv, named", [
+    ([], "command"),
+    (["segment", "DIR"], "segment"),
+    (["analyze", "DIR"], "--model"),
+    (["analyze", "DIR", "--model", "M", "--band-lo", "abc"], "--band-lo"),
+    (["analyze", "DIR", "--model", "M", "--seed", "3"], "--seed"),
+    (["analyze", "DIR", "--model", "M", "--n-trees", "5"], "--n-trees"),
+    (["extract-features", "DIR", "--min-leaf", "2"], "--min-leaf"),
+    (["train", "CSV", "--band-lo", "100"], "--band-lo"),
+    (["train", "CSV", "--cv-split", "row"], "--cv-split"),
+    (["eval"], "predictions_csv"),
+])
+def test_usage_error_exits_4_with_one_error_line(argv, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"]])
+def test_help_and_version_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_one_config_file_with_every_key_drives_train_and_analyze(
+        phantom_dir, corpus_csv, tmp_path, capsys):
+    values = {**{f.name: getattr(PipelineConfig(), f.name) for f in fields(PipelineConfig)},
+              "n_trees": 3, "slice_thickness_mm": 2.5}
+    cfg_file = tmp_path / "pipeline.cfg"
+    cfg_file.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    model = tmp_path / "m.lctm"
+    assert main(["train", str(corpus_csv), "--out", str(model), "--config", str(cfg_file)]) == 0
+    assert "trained 3 trees" in capsys.readouterr().out
+    series_dir, _ = phantom_dir
+    out = tmp_path / "out"
+    assert main(["analyze", str(series_dir), "--model", str(model), "--out", str(out),
+                 "--config", str(cfg_file)]) == 0
+    assert json.loads((out / "PH001" / "report.json").read_text())["slice_thickness_mm"] == 2.5
 
 
 def test_missing_config_file_exits_4(phantom_dir, model_file, corpus_csv, tmp_path, capsys):

@@ -238,6 +238,24 @@ def test_nonpositive_thickness_rejected():
         parse_dicom(build_dicom(**{**BASE, "thickness": 0.0}))
 
 
+@pytest.mark.parametrize("key, value, name", [
+    ("slope", "", "RescaleSlope"), ("slope", " ", "RescaleSlope"),
+    ("intercept", "", "RescaleIntercept"), ("intercept", " ", "RescaleIntercept"),
+])
+def test_empty_rescale_value_is_format_error(key, value, name):
+    # Both are Type 1 in the CT Image Module (PS3.3 C.8.2.1): a value is required.
+    with pytest.raises(FormatError, match=name):
+        parse_dicom(build_dicom(**{**BASE, key: value}))
+
+
+@pytest.mark.parametrize("value", ["", " "])
+def test_empty_slice_thickness_takes_the_default(value):
+    # Type 2 in the Image Plane Module (PS3.3 C.7.6.2): zero length means unknown.
+    with pytest.warns(UserWarning, match="SliceThickness missing; assuming 2.5 mm"):
+        obj = parse_dicom(build_dicom(**{**BASE, "thickness": value}), 2.5)
+    assert obj.slice_thickness_mm == 2.5
+
+
 # --- windowing ---------------------------------------------------------------
 
 def _obj(pixels, slope=1.0, intercept=0.0, rows=1, cols=None):

@@ -78,13 +78,21 @@ def test_bad_bits_stored_slice_skipped_with_warning(tmp_path, layout, match):
     assert series.instance_numbers == [1, 2]
 
 
-def test_zero_size_slice_skipped_with_warning(tmp_path):
-    _write_slices(tmp_path, [("a.dcm", _slice_kwargs(1)), ("b.dcm", _slice_kwargs(2))])
-    (tmp_path / "c.dcm").write_bytes(build_dicom(**{**_slice_kwargs(3), "rows": 0, "cols": 0,
-                                                    "pixels": ()}))
-    with pytest.warns(UserWarning, match="c.dcm.*0x0"):
+@pytest.mark.parametrize("fmt", ["dicom", "pgm"])
+def test_zero_size_slice_skipped_with_warning(tmp_path, fmt):
+    if fmt == "dicom":
+        _write_slices(tmp_path, [("a.dcm", _slice_kwargs(1)), ("b.dcm", _slice_kwargs(2))])
+        (tmp_path / "c.dcm").write_bytes(build_dicom(**{**_slice_kwargs(3), "rows": 0, "cols": 0,
+                                                        "pixels": ()}))
+        match, expected = "c.dcm.*0x0", [1, 2]
+    else:
+        for name in ("a.pgm", "b.pgm", "d.pgm"):
+            write_pgm(tmp_path / name, np.full((16, 16), 7, dtype=np.uint8))
+        (tmp_path / "c.pgm").write_bytes(b"P5\n0 4\n255\n")
+        match, expected = "c.pgm.*0x4", [1, 2, 3]
+    with pytest.warns(UserWarning, match=match):
         series = load_series(tmp_path)
-    assert series.instance_numbers == [1, 2]
+    assert series.instance_numbers == expected
 
 
 def test_unreadable_file_skipped_with_warning(tmp_path, monkeypatch):
