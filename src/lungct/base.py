@@ -12,9 +12,11 @@ from .errors import IngestError
 
 
 def map_tasks(fn, tasks, workers):
-    """``[fn(task) for task in tasks]``: with ``workers`` above 1 the calls
-    run in a pool of that many processes, and the results still come back
-    in task order. A worker that dies raises :class:`IngestError`."""
+    """``[fn(task) for task in tasks]``: with ``workers`` and the tasks both
+    above 1 the calls run in a pool of as many processes as the fewer of the
+    two, and the results still come back in task order. A worker that dies
+    raises :class:`IngestError`."""
+    workers = min(workers, len(tasks))
     if workers <= 1:
         return [fn(task) for task in tasks]
     # Imported here, so a serial run never loads multiprocessing.

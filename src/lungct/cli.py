@@ -21,9 +21,8 @@ from .analytics import report_to_json, report_to_text
 from .config import DEFAULTS, PipelineConfig, range_text
 from .ensemble import (
     CV_FOLDS,
-    BaggedTreesClassifier,
-    cross_validate,
     evaluate,
+    fit_and_cross_validate,
     load_model,
     save_model,
 )
@@ -170,9 +169,8 @@ def cmd_train(args):
         patient_ids = [p for p, keep in zip(patient_ids, labeled) if keep]
 
     groups = patient_ids if args.cv_split == "patient" else None
-    model = BaggedTreesClassifier(**config.classifier_kwargs()).fit(X, y)
-    cv = cross_validate(X, y, k=args.cv_folds, groups=groups, workers=config.threads,
-                        **config.classifier_kwargs())
+    model, cv = fit_and_cross_validate(X, y, k=args.cv_folds, groups=groups, workers=config.threads,
+                                       **config.classifier_kwargs())
 
     save_model(model, args.out)
     print(f"trained {config.n_trees} trees on {len(y)} samples")

@@ -9,10 +9,19 @@ their arguments with :func:`check`.
 """
 
 import inspect
+import os
 from dataclasses import dataclass, field, fields, replace
 from math import inf
 from operator import ge, gt, le, lt
 from pathlib import Path
+
+
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _tunable(default, low, high=inf, ends="[)"):
@@ -49,8 +58,8 @@ class PipelineConfig:
     max_depth: int = _tunable(12, 0, 2**32 - 1, "[]")
     seed: int = _tunable(0, -2**63, 2**63 - 1, "[]")
 
-    # execution
-    threads: int = _tunable(1, 1)
+    # execution: worker processes, by default one per CPU this process may use
+    threads: int = _tunable(_usable_cpus(), 1)
 
     def __post_init__(self):
         # A bad file or flag is a config error before any slice or CSV is read.

@@ -463,7 +463,8 @@ class BaggedTreesClassifier(ParamsMixin):
         self._trees = tuple(trees)
         self._routes = _Routes(self._trees)
 
-    def fit(self, X, y):
+    def _fit_arrays(self, X, y):
+        """``X`` and ``y`` as the arrays ``fit`` grows trees on, once its checks pass."""
         check("n_trees", self.n_trees)
         X, y = _training_arrays(X, y, self.min_leaf, self.max_depth)
         X = _feature_rows(X, len(FEATURE_NAMES))
@@ -473,7 +474,10 @@ class BaggedTreesClassifier(ParamsMixin):
             raise SingleClassError("training data must contain both classes")
         if not set(np.unique(y).tolist()) <= {0, 1}:
             raise ValueError("labels must be 0 or 1")
+        return X, y
 
+    def fit(self, X, y):
+        X, y = self._fit_arrays(X, y)
         n = len(y)
         # All bootstrap draws happen up front, in a fixed order: tree t
         # draws the t-th n of them.
@@ -503,24 +507,19 @@ class BaggedTreesClassifier(ParamsMixin):
         return int(votes * 2 > len(self.trees_)), votes / len(self.trees_)
 
 
-def _fold_accuracy(task):
-    """Held-out accuracy of one cross-validation fold."""
+def _fit_task(task):
+    """Fit one model of a training run. A fold returns the model's accuracy
+    on its held-out rows; the final fit, which holds none out, returns the model."""
     X_train, y_train, X_test, y_test, seed, model_params = task
     model = BaggedTreesClassifier(seed=seed, **model_params).fit(X_train, y_train)
+    if X_test is None:
+        return model
     return float(np.mean(model.predict(X_test) == y_test))
 
 
-def cross_validate(X, y, k=CV_FOLDS, seed=DEFAULTS.seed, groups=None, workers=DEFAULTS.threads,
-                   **model_params):
-    """Deterministic k-fold cross-validation.
-
-    Whole groups (e.g. patient ids, to keep one patient's slices out of
-    both sides of a fold; each sample is its own group by default) are
-    shuffled by the seeded generator and dealt into k near-equal folds.
-    Each fold's model has a seed of its own, so with ``workers > 1`` the
-    folds fit in a process pool and give the same result.
-    Returns ``{"fold_accuracies": [...], "mean_accuracy": float}``.
-    """
+def _fold_tasks(X, y, k, seed, groups, model_params):
+    """The k cross-validation folds as :func:`_fit_task` tasks, fold i
+    fitting with ``seed + i + 1``."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if len(X) != len(y):
@@ -553,9 +552,43 @@ def cross_validate(X, y, k=CV_FOLDS, seed=DEFAULTS.seed, groups=None, workers=DE
         train_mask[test_idx] = False
         tasks.append((X[train_mask], y[train_mask], X[test_idx], y[test_idx],
                       seed + fold_index + 1, model_params))
+    return tasks
 
-    accuracies = map_tasks(_fold_accuracy, tasks, min(workers, k))
+
+def _cv_result(accuracies):
     return {"fold_accuracies": accuracies, "mean_accuracy": float(np.mean(accuracies))}
+
+
+def cross_validate(X, y, k=CV_FOLDS, seed=DEFAULTS.seed, groups=None, workers=DEFAULTS.threads,
+                   **model_params):
+    """Deterministic k-fold cross-validation.
+
+    Whole groups (e.g. patient ids, to keep one patient's slices out of
+    both sides of a fold; each sample is its own group by default) are
+    shuffled by the seeded generator and dealt into k near-equal folds.
+    Each fold's model has a seed of its own, so with ``workers > 1`` the
+    folds fit in a process pool and give the same result.
+    Returns ``{"fold_accuracies": [...], "mean_accuracy": float}``.
+    """
+    tasks = _fold_tasks(X, y, k, seed, groups, model_params)
+    return _cv_result(map_tasks(_fit_task, tasks, workers))
+
+
+def fit_and_cross_validate(X, y, k=CV_FOLDS, seed=DEFAULTS.seed, groups=None,
+                           workers=DEFAULTS.threads, **model_params):
+    """The model fitted on all of ``X`` and ``y`` with ``seed``, and
+    :func:`cross_validate`'s result for the same arguments, as ``(model, cv)``.
+
+    The final fit and the k folds are one job of k + 1 fits, so with
+    ``workers > 1`` they share one process pool; the final fit, the largest,
+    goes first. Model and result are those of the two calls made apart.
+    """
+    # The final fit's checks come first, as when the two calls are made apart.
+    X, y = BaggedTreesClassifier(seed=seed, **model_params)._fit_arrays(X, y)
+    folds = _fold_tasks(X, y, k, seed, groups, model_params)
+    model, *accuracies = map_tasks(_fit_task, [(X, y, None, None, seed, model_params), *folds],
+                                   workers)
+    return model, _cv_result(accuracies)
 
 
 def evaluate(predictions, labels):

@@ -16,10 +16,17 @@ import pytest
 import lungct
 from lungct import errors
 from lungct.analytics import build_report
+from lungct.base import map_tasks
 from lungct.cli import main, parse_labels_file
 from lungct.config import PipelineConfig
 from lungct.dicom import parse_dicom
-from lungct.ensemble import BaggedTreesClassifier, cross_validate, save_model, train_tree
+from lungct.ensemble import (
+    BaggedTreesClassifier,
+    cross_validate,
+    fit_and_cross_validate,
+    save_model,
+    train_tree,
+)
 from lungct.features import read_feature_csv, write_feature_csv
 from lungct.ingest import load_series, to_gray8
 from lungct.phantom import make_feature_corpus, make_phantom_series, write_series_pgm
@@ -236,12 +243,16 @@ def test_train_fewer_than_two_folds_exits_4(corpus_csv, tmp_path, capsys, folds)
 
 def test_train_threads_do_not_change_model_or_cv(corpus_csv, tmp_path, capsys):
     outputs = []
-    for threads in ("1", "2"):
-        model = tmp_path / f"t{threads}.lctm"
-        assert main(["train", str(corpus_csv), "--out", str(model), "--threads", threads]) == 0
+    for threads in (["--threads", "1"], ["--threads", "2"], []):  # [] is the default
+        model = tmp_path / f"t{len(outputs)}.lctm"
+        assert main(["train", str(corpus_csv), "--out", str(model), *threads]) == 0
         cv_line = [line for line in capsys.readouterr().out.splitlines() if "cross-validation" in line]
         outputs.append((cv_line, model.read_bytes()))
-    assert outputs[0][0] and outputs[0] == outputs[1]
+    assert outputs[0][0] and outputs[0] == outputs[1] == outputs[2]
+
+
+def test_threads_default_is_the_number_of_usable_cpus():
+    assert PipelineConfig().threads == len(os.sched_getaffinity(0))
 
 
 def _run_python(code, *args):
@@ -299,6 +310,20 @@ def test_importing_the_cli_loads_no_process_pool_machinery():
         "import lungct.cli\n"
         "loaded = [m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))]\n"
         "assert not loaded, loaded\n"
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_train_at_one_thread_loads_no_process_pool_machinery(corpus_csv, tmp_path):
+    config = tmp_path / "serial.cfg"
+    config.write_text("threads = 1\n")
+    result = _run_python(
+        "import sys\n"
+        "from lungct.cli import main\n"
+        "assert main(['train', sys.argv[1], '--out', sys.argv[2], '--config', sys.argv[3]]) == 0\n"
+        "loaded = [m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))]\n"
+        "assert not loaded, loaded\n",
+        corpus_csv, tmp_path / "m.lctm", config,
     )
     assert result.returncode == 0, result.stderr
 
@@ -461,7 +486,7 @@ def test_dead_worker_exits_2(monkeypatch, phantom_dir, model_file, corpus_csv, t
     import lungct.pipeline as pipeline
 
     monkeypatch.setattr(pipeline, "_slice_task", _exit_in_worker)
-    monkeypatch.setattr(ensemble, "_fold_accuracy", _exit_in_worker)
+    monkeypatch.setattr(ensemble, "_fit_task", _exit_in_worker)
     series_dir, _ = phantom_dir
     for command in (
         ["analyze", str(series_dir), "--model", str(model_file), "--out", str(tmp_path)],
@@ -778,7 +803,8 @@ def test_layer_defaults_are_the_config_defaults(rng):
     assert np.array_equal(preprocess_slice(img), preprocess_slice(img, **config.preprocess_kwargs()))
 
 
-@pytest.mark.parametrize("layer", [compute_markers, train_tree, cross_validate, to_gray8])
+@pytest.mark.parametrize("layer", [compute_markers, train_tree, cross_validate,
+                                   fit_and_cross_validate, to_gray8])
 def test_layer_signature_defaults_are_the_config_defaults(layer):
     config = PipelineConfig()
     params = inspect.signature(layer).parameters
@@ -824,6 +850,36 @@ def test_cli_config_flag_flows_into_pipeline(phantom_dir, model_file, tmp_path):
 
 
 # --- pipeline-level parallel determinism -----------------------------------------
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size asked for, runs inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("n_tasks, workers, pool_size", [
+    (3, 8, 3), (16, 2, 2), (1, 8, None), (0, 8, None), (5, 1, None),
+])
+def test_map_tasks_starts_no_more_workers_than_tasks(monkeypatch, n_tasks, workers, pool_size):
+    import concurrent.futures.process as process
+
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(process, "ProcessPoolExecutor", _RecordingPool)
+    assert map_tasks(abs, list(range(-n_tasks, 0)), workers) == list(range(n_tasks, 0, -1))
+    assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+
 
 def test_segment_series_parallel_equals_serial():
     slices, _ = make_phantom_series(n_slices=4, size=256, tumour_slices=(1,), seed=3)

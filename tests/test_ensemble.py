@@ -15,6 +15,7 @@ from lungct.ensemble import (
     Xorshift64Star,
     cross_validate,
     evaluate,
+    fit_and_cross_validate,
     load_model,
     save_model,
     train_tree,
@@ -273,6 +274,23 @@ def test_model_bytes_are_unchanged(settings, corpus5, tmp_path):
 
 def test_cv_result_is_unchanged(corpus5):
     assert cross_validate(*corpus5, k=15) == _CORPUS5_CV
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fit_and_cross_validate_gives_the_model_and_cv_of_the_two_calls(corpus5, workers, tmp_path):
+    model, cv = fit_and_cross_validate(*corpus5, k=15, workers=workers)
+    assert cv == _CORPUS5_CV
+    save_model(model, tmp_path / "m.lctm")
+    digest = hashlib.sha256((tmp_path / "m.lctm").read_bytes()).hexdigest()
+    assert digest == _CORPUS5_MODEL_SHA256["default"]
+
+
+def test_fit_and_cross_validate_reports_the_final_fits_errors_first():
+    X = np.random.default_rng(0).uniform(0, 1, (20, 3))
+    with pytest.raises(SingleClassError, match="training data must contain both classes"):
+        fit_and_cross_validate(X, np.zeros(20, dtype=int), k=5)
+    with pytest.raises(EmptyTrainingSetError):
+        fit_and_cross_validate(np.empty((0, 3)), np.empty(0), k=5)
 
 
 def test_bagged_rejects_single_class():
