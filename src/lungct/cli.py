@@ -129,7 +129,7 @@ def cmd_analyze(args):
     shutil.rmtree(staging, ignore_errors=True)
     staging.mkdir(parents=True)
     try:
-        report, _ = pipeline.classify_series(series, model, config, workers=config.threads)
+        report, _ = pipeline.classify_series(series, model, config)
         (staging / "report.json").write_text(report_to_json(report))
         (staging / "report.txt").write_text(report_to_text(report))
         for detection in report.positives:
@@ -198,7 +198,7 @@ def cmd_extract_features(args):
             raise ValueError(f"{args.labels}: patient {series.patient_id!r}: slice index "
                              f"{', '.join(map(str, outside))} outside 0..{len(series) - 1}")
 
-    per_slice = pipeline.segment_series(series.slices, config, workers=config.threads)
+    per_slice = pipeline.segment_series(series.slices, config)
     rows = []
     for slice_index, candidates in enumerate(per_slice):
         for cand in candidates:

@@ -409,17 +409,6 @@ def _assemble(g, tree, m, n1, splits):
     return out
 
 
-def _training_arrays(X, y, min_leaf, max_depth):
-    """Check the tree settings; return ``X`` and ``y`` as float64 and int64 arrays of matching shape."""
-    check("min_leaf", min_leaf)
-    check("max_depth", max_depth)
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or X.shape[1] == 0 or len(X) != len(y):
-        raise ValueError("X must be 2-D, with a column per feature and one label per row")
-    return X, y
-
-
 def _feature_rows(X, width):
     """``X`` as a 2-D float64 array of rows of ``width`` features; ValueError otherwise."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -428,11 +417,43 @@ def _feature_rows(X, width):
     return X
 
 
+def _check_binary(name, values):
+    """Raise InputError naming the first of ``values`` that is not 0 or 1."""
+    bad = np.flatnonzero((values != 0) & (values != 1))
+    if bad.size:
+        raise InputError(f"{name} {values[bad[0]]} at index {bad[0]} is not 0 or 1")
+
+
+def _training_data(X, y, forest, n_trees=DEFAULTS.n_trees, min_leaf=DEFAULTS.min_leaf,
+                   max_depth=DEFAULTS.max_depth):
+    """Check the tree settings, then return ``X`` and ``y`` as float64 rows
+    and int64 labels to train on: a 2-D array with a column per feature (the
+    three features for a ``forest``), one label per row, at least one row,
+    every label 0 or 1 and, for a forest, both classes. Every entry point
+    that trains checks its input here, in the calling process, so a fault
+    raises the same exception wherever it is found."""
+    for name, value in (("n_trees", n_trees), ("min_leaf", min_leaf), ("max_depth", max_depth)):
+        check(name, value)
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if X.ndim != 2 or X.shape[1] == 0:
+        raise ValueError(f"X must be a 2-D array of feature rows, got an array of shape {X.shape}")
+    if forest:
+        X = _feature_rows(X, len(FEATURE_NAMES))
+    if y.ndim != 1 or len(y) != len(X):
+        labels = f"{len(y)} labels" if y.ndim == 1 else f"labels of shape {y.shape}"
+        raise LengthMismatchError(f"X has {len(X)} rows but there are {labels}")
+    if len(y) == 0:
+        raise EmptyTrainingSetError("cannot train on zero samples")
+    _check_binary("label", y)
+    if forest and len(np.unique(y)) < 2:
+        raise SingleClassError("training data must contain both classes")
+    return X, y
+
+
 def train_tree(X, y, min_leaf=DEFAULTS.min_leaf, max_depth=DEFAULTS.max_depth) -> DecisionTree:
     """Grow one tree by greedy Gini splits with deterministic tie-breaking."""
-    X, y = _training_arrays(X, y, min_leaf, max_depth)
-    if len(y) == 0:
-        raise EmptyTrainingSetError("cannot train a tree on zero samples")
+    X, y = _training_data(X, y, False, min_leaf=min_leaf, max_depth=max_depth)
     return _grow(X, y, np.ones((1, len(y)), dtype=np.int64), min_leaf, max_depth)[0]
 
 
@@ -463,21 +484,8 @@ class BaggedTreesClassifier(ParamsMixin):
         self._trees = tuple(trees)
         self._routes = _Routes(self._trees)
 
-    def _fit_arrays(self, X, y):
-        """``X`` and ``y`` as the arrays ``fit`` grows trees on, once its checks pass."""
-        check("n_trees", self.n_trees)
-        X, y = _training_arrays(X, y, self.min_leaf, self.max_depth)
-        X = _feature_rows(X, len(FEATURE_NAMES))
-        if len(y) == 0:
-            raise EmptyTrainingSetError("cannot fit on zero samples")
-        if len(y) < 2 or len(np.unique(y)) < 2:
-            raise SingleClassError("training data must contain both classes")
-        if not set(np.unique(y).tolist()) <= {0, 1}:
-            raise ValueError("labels must be 0 or 1")
-        return X, y
-
     def fit(self, X, y):
-        X, y = self._fit_arrays(X, y)
+        X, y = _training_data(X, y, True, self.n_trees, self.min_leaf, self.max_depth)
         n = len(y)
         # All bootstrap draws happen up front, in a fixed order: tree t
         # draws the t-th n of them.
@@ -518,14 +526,10 @@ def _fit_task(task):
 
 
 def _fold_tasks(X, y, k, seed, groups, model_params):
-    """The k cross-validation folds as :func:`_fit_task` tasks, fold i
-    fitting with ``seed + i + 1``."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if len(X) != len(y):
-        raise LengthMismatchError(f"X has {len(X)} rows but there are {len(y)} labels")
-    if len(np.unique(y)) < 2:
-        raise SingleClassError("cross-validation needs both classes")
+    """Check the input, then return ``X`` and ``y`` as arrays and the k
+    cross-validation folds as :func:`_fit_task` tasks, fold i fitting with
+    ``seed + i + 1``."""
+    X, y = _training_data(X, y, True, **model_params)
     groups = range(len(y)) if groups is None else groups
     if len(groups) != len(y):
         raise LengthMismatchError("groups and labels differ in length")
@@ -552,7 +556,7 @@ def _fold_tasks(X, y, k, seed, groups, model_params):
         train_mask[test_idx] = False
         tasks.append((X[train_mask], y[train_mask], X[test_idx], y[test_idx],
                       seed + fold_index + 1, model_params))
-    return tasks
+    return X, y, tasks
 
 
 def _cv_result(accuracies):
@@ -570,7 +574,7 @@ def cross_validate(X, y, k=CV_FOLDS, seed=DEFAULTS.seed, groups=None, workers=DE
     folds fit in a process pool and give the same result.
     Returns ``{"fold_accuracies": [...], "mean_accuracy": float}``.
     """
-    tasks = _fold_tasks(X, y, k, seed, groups, model_params)
+    _, _, tasks = _fold_tasks(X, y, k, seed, groups, model_params)
     return _cv_result(map_tasks(_fit_task, tasks, workers))
 
 
@@ -583,9 +587,7 @@ def fit_and_cross_validate(X, y, k=CV_FOLDS, seed=DEFAULTS.seed, groups=None,
     ``workers > 1`` they share one process pool; the final fit, the largest,
     goes first. Model and result are those of the two calls made apart.
     """
-    # The final fit's checks come first, as when the two calls are made apart.
-    X, y = BaggedTreesClassifier(seed=seed, **model_params)._fit_arrays(X, y)
-    folds = _fold_tasks(X, y, k, seed, groups, model_params)
+    X, y, folds = _fold_tasks(X, y, k, seed, groups, model_params)
     model, *accuracies = map_tasks(_fit_task, [(X, y, None, None, seed, model_params), *folds],
                                    workers)
     return model, _cv_result(accuracies)
@@ -604,10 +606,8 @@ def evaluate(predictions, labels):
             f"predictions ({predictions.shape}) and labels ({labels.shape}) must be "
             "equal-length non-empty vectors"
         )
-    for name, values in (("prediction", predictions), ("label", labels)):
-        bad = np.flatnonzero((values != 0) & (values != 1))
-        if bad.size:
-            raise InputError(f"{name} {values[bad[0]]} at index {bad[0]} is not 0 or 1")
+    _check_binary("prediction", predictions)
+    _check_binary("label", labels)
     tp = int(np.sum((predictions == 1) & (labels == 1)))
     fn = int(np.sum((predictions == 0) & (labels == 1)))
     fp = int(np.sum((predictions == 1) & (labels == 0)))

@@ -17,7 +17,8 @@ from .errors import EmptyRegionError
 from .validation import as_gray_image
 
 FEATURE_NAMES = ("size_px", "mean_intensity", "center_distance_px")
-CSV_HEADER = ("patient_id", "slice_index", "size_px", "mean_intensity", "center_distance_px", "label")
+CSV_HEADER = ("patient_id", "slice_index", *FEATURE_NAMES, "label")
+_CSV_FEATURES = slice(2, 2 + len(FEATURE_NAMES))  # the feature columns of a CSV row
 
 
 @dataclass
@@ -103,16 +104,16 @@ def read_feature_csv(path):
             try:
                 patient_ids.append(row[0])
                 slice_indices.append(int(row[1]))
-                X.append([float(cell) for cell in row[2:5]])
-                y.append(int(row[5]))
+                X.append([float(cell) for cell in row[_CSV_FEATURES]])
+                y.append(int(row[-1]))
                 if not all(map(math.isfinite, X[-1])):
-                    raise ValueError(f"non-finite feature value in {row[2:5]}")
+                    raise ValueError(f"non-finite feature value in {row[_CSV_FEATURES]}")
                 if y[-1] not in (-1, 0, 1):
                     raise ValueError(f"label must be -1, 0 or 1, got {y[-1]}")
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
     return (
-        np.array(X, dtype=np.float64).reshape(-1, 3),
+        np.array(X, dtype=np.float64).reshape(-1, len(FEATURE_NAMES)),
         np.array(y, dtype=np.int64),
         patient_ids,
         slice_indices,

@@ -12,7 +12,7 @@ import numpy as np
 
 from .analytics import SliceDetection, build_report
 from .base import map_tasks
-from .config import DEFAULTS, PipelineConfig
+from .config import PipelineConfig
 from .errors import SliceError
 from .features import RegionFeatures, feature_vector
 from .ingest import CtSeries
@@ -65,14 +65,16 @@ def _slice_task(payload):
         raise SliceError(f"slice {index}: {exc}") from exc
 
 
-def segment_series(slices, config: PipelineConfig, workers=DEFAULTS.threads):
-    """Candidates for every slice, ordered by slice index."""
+def segment_series(slices, config: PipelineConfig, workers=None):
+    """Candidates for every slice, ordered by slice index, segmented by
+    ``workers`` processes (``config.threads`` if not given)."""
     tasks = [(i, np.asarray(img), config) for i, img in enumerate(slices)]
-    return map_tasks(_slice_task, tasks, workers)
+    return map_tasks(_slice_task, tasks, config.threads if workers is None else workers)
 
 
-def classify_series(series: CtSeries, model, config: PipelineConfig, workers=DEFAULTS.threads):
-    """Run the full detection pipeline over a series.
+def classify_series(series: CtSeries, model, config: PipelineConfig, workers=None):
+    """Run the full detection pipeline over a series, segmenting it as
+    :func:`segment_series` does.
 
     Returns ``(report, positive_candidates)``; the candidates keep their
     masks so callers can render overlays.

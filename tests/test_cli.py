@@ -24,13 +24,14 @@ from lungct.ensemble import (
     BaggedTreesClassifier,
     cross_validate,
     fit_and_cross_validate,
+    load_model,
     save_model,
     train_tree,
 )
 from lungct.features import read_feature_csv, write_feature_csv
-from lungct.ingest import load_series, to_gray8
+from lungct.ingest import CtSeries, load_series, to_gray8
 from lungct.phantom import make_feature_corpus, make_phantom_series, write_series_pgm
-from lungct.pipeline import segment_series
+from lungct.pipeline import classify_series, segment_series
 from lungct.preprocess import (
     SlicePreprocessor,
     apply_central_strip,
@@ -879,6 +880,24 @@ def test_map_tasks_starts_no_more_workers_than_tasks(monkeypatch, n_tasks, worke
     monkeypatch.setattr(process, "ProcessPoolExecutor", _RecordingPool)
     assert map_tasks(abs, list(range(-n_tasks, 0)), workers) == list(range(n_tasks, 0, -1))
     assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+
+
+@pytest.mark.parametrize("threads, workers, pool_size", [
+    (1, None, None), (3, None, 3), (3, 1, None), (1, 2, 2),
+])
+def test_series_calls_take_their_worker_count_from_the_config(
+        monkeypatch, model_file, threads, workers, pool_size):
+    import concurrent.futures.process as process
+
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(process, "ProcessPoolExecutor", _RecordingPool)
+    config = PipelineConfig(threads=threads)
+    slices = np.zeros((4, 32, 32), dtype=np.uint8)
+    series = CtSeries("P", slices, 5.0, (1.0, 1.0), [1, 2, 3, 4])
+    kwargs = {} if workers is None else {"workers": workers}
+    assert segment_series(slices, config, **kwargs) == [[]] * 4
+    classify_series(series, load_model(model_file), config, **kwargs)
+    assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size] * 2)
 
 
 def test_segment_series_parallel_equals_serial():

@@ -317,6 +317,62 @@ def test_bad_tree_settings_rejected_by_both_entry_points(settings, message):
         BaggedTreesClassifier(n_trees=3, **settings).fit(X, y)
 
 
+_ROWS = np.random.default_rng(0).uniform(0, 1, (10, 3))
+_LABELS = [0, 1] * 5
+
+# fault: (X, y, settings, exception, message), the same at every entry point that trains.
+_TRAINING_FAULTS = {
+    "rows not 2-D": (np.ones(10), _LABELS, {}, ValueError,
+                     r"X must be a 2-D array of feature rows, got an array of shape \(10,\)"),
+    "width 6": (np.ones((10, 6)), _LABELS, {}, ValueError,
+                r"expected rows of 3 features, got an array of shape \(10, 6\)"),
+    "rows and labels differ": (_ROWS, _LABELS[:8], {}, LengthMismatchError,
+                               "X has 10 rows but there are 8 labels"),
+    "zero rows": (np.empty((0, 3)), [], {}, EmptyTrainingSetError, "cannot train on zero samples"),
+    "label 2": (_ROWS, [0] * 5 + [2] * 5, {}, InputError, "label 2 at index 5 is not 0 or 1"),
+    "one class": (_ROWS, [0] * 10, {}, SingleClassError, "training data must contain both classes"),
+    "n_trees 0": (_ROWS, _LABELS, {"n_trees": 0}, ValueError, "n_trees must be >= 1, got 0"),
+    "min_leaf 0": (_ROWS, _LABELS, {"min_leaf": 0}, ValueError, "min_leaf must be >= 1, got 0"),
+    "max_depth -1": (_ROWS, _LABELS, {"max_depth": -1}, ValueError, "max_depth must be >= 0, got -1"),
+}
+# evaluate pairs a prediction of 0 with each label: its own vectors' faults.
+_EVALUATE_FAULTS = {
+    "rows and labels differ": (LengthMismatchError, r"predictions \(\(10,\)\) and labels \(\(8,\)\) "
+                               "must be equal-length non-empty vectors"),
+    "zero rows": (LengthMismatchError, r"predictions \(\(0,\)\) and labels \(\(0,\)\) "
+                  "must be equal-length non-empty vectors"),
+    "label 2": (InputError, "label 2 at index 5 is not 0 or 1"),
+}
+_ENTRY_POINTS = {
+    "train_tree": lambda X, y, **settings: train_tree(X, y, **settings),
+    "fit": lambda X, y, **settings: BaggedTreesClassifier(**settings).fit(X, y),
+    "cross_validate": lambda X, y, **settings: cross_validate(X, y, k=2, workers=2, **settings),
+    "fit_and_cross_validate":
+        lambda X, y, **settings: fit_and_cross_validate(X, y, k=2, workers=2, **settings),
+    "evaluate": lambda X, y: evaluate(np.zeros(len(X), dtype=int), y),
+}
+# A single tree takes any width and one class, and has no n_trees.
+_TREE_TAKES = {"width 6", "one class", "n_trees 0"}
+
+
+@pytest.mark.parametrize("entry, fault", [
+    (entry, fault) for entry in _ENTRY_POINTS for fault in _TRAINING_FAULTS
+    if (entry != "train_tree" or fault not in _TREE_TAKES)
+    and (entry != "evaluate" or fault in _EVALUATE_FAULTS)
+])
+def test_each_input_fault_raises_one_exception_at_every_entry_point(entry, fault, monkeypatch):
+    def no_pool(*args):
+        raise AssertionError("faulty input reached the process pool")
+
+    monkeypatch.setattr(ensemble, "map_tasks", no_pool)
+    X, y, settings, exception, message = _TRAINING_FAULTS[fault]
+    if entry == "evaluate":
+        exception, message = _EVALUATE_FAULTS[fault]
+    with pytest.raises(exception, match=message) as raised:
+        _ENTRY_POINTS[entry](X, y, **settings)
+    assert type(raised.value) is exception
+
+
 def _probe_rows(model, X, seed):
     """Random rows around the training data, and rows that sit exactly on
     split thresholds (which route left) or hold NaN (which routes right)."""
