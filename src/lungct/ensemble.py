@@ -418,10 +418,12 @@ def _feature_rows(X, width):
 
 
 def _check_binary(name, values):
-    """Raise InputError naming the first of ``values`` that is not 0 or 1."""
+    """``values`` as int64 if every one equals 0 or 1; otherwise InputError
+    naming the first that does not, before a fraction can be truncated."""
     bad = np.flatnonzero((values != 0) & (values != 1))
     if bad.size:
-        raise InputError(f"{name} {values[bad[0]]} at index {bad[0]} is not 0 or 1")
+        raise InputError(f"{name} {values[bad[:1]].tolist()[0]!r} at index {bad[0]} is not 0 or 1")
+    return values.astype(np.int64)
 
 
 def _training_data(X, y, forest, n_trees=DEFAULTS.n_trees, min_leaf=DEFAULTS.min_leaf,
@@ -435,7 +437,7 @@ def _training_data(X, y, forest, n_trees=DEFAULTS.n_trees, min_leaf=DEFAULTS.min
     for name, value in (("n_trees", n_trees), ("min_leaf", min_leaf), ("max_depth", max_depth)):
         check(name, value)
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y)
     if X.ndim != 2 or X.shape[1] == 0:
         raise ValueError(f"X must be a 2-D array of feature rows, got an array of shape {X.shape}")
     if forest:
@@ -445,7 +447,7 @@ def _training_data(X, y, forest, n_trees=DEFAULTS.n_trees, min_leaf=DEFAULTS.min
         raise LengthMismatchError(f"X has {len(X)} rows but there are {labels}")
     if len(y) == 0:
         raise EmptyTrainingSetError("cannot train on zero samples")
-    _check_binary("label", y)
+    y = _check_binary("label", y)
     if forest and len(np.unique(y)) < 2:
         raise SingleClassError("training data must contain both classes")
     return X, y
@@ -528,34 +530,36 @@ def _fit_task(task):
 def _fold_tasks(X, y, k, seed, groups, model_params):
     """Check the input, then return ``X`` and ``y`` as arrays and the k
     cross-validation folds as :func:`_fit_task` tasks, fold i fitting with
-    ``seed + i + 1``."""
+    ``seed + i + 1``. A row's unit is its group id's place among the sorted
+    distinct ids, or the row itself without groups; the shuffled units are
+    dealt to the folds in runs. A fold training on one class is named."""
     X, y = _training_data(X, y, True, **model_params)
-    groups = range(len(y)) if groups is None else groups
-    if len(groups) != len(y):
-        raise LengthMismatchError("groups and labels differ in length")
-    order = {}
-    for i, g in enumerate(groups):
-        order.setdefault(g, []).append(i)
-    unit_members = [np.array(order[g]) for g in sorted(order)]
+    if groups is None:
+        unit = np.arange(len(y))
+    else:
+        if len(groups) != len(y):
+            raise LengthMismatchError("groups and labels differ in length")
+        # Object ids keep 1 and "1" apart and raise TypeError if they cannot be ordered.
+        unit = np.unique(np.fromiter(groups, dtype=object, count=len(y)), return_inverse=True)[1]
+    n_units = int(unit.max()) + 1
     if k < 2:
         raise FoldTooSmallError(f"need at least 2 folds, got {k}")
-    if k > len(unit_members):
-        raise FoldTooSmallError(
-            f"k={k} folds need at least k units, got {len(unit_members)}"
-        )
+    if k > n_units:
+        raise FoldTooSmallError(f"k={k} folds need at least k units, got {n_units}")
 
-    rng = Xorshift64Star(seed)
-    unit_order = rng.shuffle(list(range(len(unit_members))))
-    base, extra = divmod(len(unit_order), k)
-    tasks, pos = [], 0
-    for fold_index in range(k):
-        size = base + (1 if fold_index < extra else 0)
-        test_idx = np.sort(np.concatenate([unit_members[u] for u in unit_order[pos : pos + size]]))
-        pos += size
-        train_mask = np.ones(len(y), dtype=bool)
-        train_mask[test_idx] = False
-        tasks.append((X[train_mask], y[train_mask], X[test_idx], y[test_idx],
-                      seed + fold_index + 1, model_params))
+    base, extra = divmod(n_units, k)
+    fold_of_unit = np.empty(n_units, dtype=np.int64)
+    fold_of_unit[Xorshift64Star(seed).shuffle(list(range(n_units)))] = np.repeat(
+        np.arange(k), base + (np.arange(k) < extra))
+    fold = fold_of_unit[unit]
+    tasks = []
+    for i in range(k):
+        held = fold == i
+        y_train = y[~held]
+        if y_train.min() == y_train.max():
+            raise SingleClassError(f"fold {i + 1} of {k} trains on class {y_train[0]} only: "
+                                   "training data must contain both classes")
+        tasks.append((X[~held], y_train, X[held], y[held], seed + i + 1, model_params))
     return X, y, tasks
 
 
@@ -599,15 +603,15 @@ def evaluate(predictions, labels):
     Every prediction and label must be 0 or 1 (``InputError`` otherwise), so
     the four confusion cells add up to the number of rows.
     """
-    predictions = np.asarray(predictions, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
+    predictions = np.asarray(predictions)
+    labels = np.asarray(labels)
     if predictions.shape != labels.shape or predictions.ndim != 1 or len(predictions) == 0:
         raise LengthMismatchError(
             f"predictions ({predictions.shape}) and labels ({labels.shape}) must be "
             "equal-length non-empty vectors"
         )
-    _check_binary("prediction", predictions)
-    _check_binary("label", labels)
+    predictions = _check_binary("prediction", predictions)
+    labels = _check_binary("label", labels)
     tp = int(np.sum((predictions == 1) & (labels == 1)))
     fn = int(np.sum((predictions == 0) & (labels == 1)))
     fp = int(np.sum((predictions == 1) & (labels == 0)))

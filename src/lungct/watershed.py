@@ -106,12 +106,14 @@ def _seed_labels(markers: MarkerSet):
 
     4-connected, like the flood and the basin/ridge topology, so each basin
     is a single 4-connected component; extrema detection stays 8-connected.
+    One labelling of the foreground stacked above the background, a blank
+    row apart, numbers them in raster order: every foreground component
+    before any background one. The two masks are disjoint, so the halves add.
     """
-    seeds, n_fg = _label(markers.foreground, 4)
-    bg_labels, _ = _label(markers.background, 4)
-    background = bg_labels > 0
-    seeds[background] = bg_labels[background] + n_fg
-    return seeds
+    h, w = markers.shape
+    labels, _ = _label(np.vstack([markers.foreground, np.zeros((1, w), dtype=bool),
+                                  markers.background]), 4)
+    return labels[:h] + labels[h + 1:]
 
 
 def _flood(relief, seeds):

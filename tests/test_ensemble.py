@@ -330,6 +330,8 @@ _TRAINING_FAULTS = {
                                "X has 10 rows but there are 8 labels"),
     "zero rows": (np.empty((0, 3)), [], {}, EmptyTrainingSetError, "cannot train on zero samples"),
     "label 2": (_ROWS, [0] * 5 + [2] * 5, {}, InputError, "label 2 at index 5 is not 0 or 1"),
+    "label 0.5": (_ROWS, _LABELS[:3] + [0.5] + _LABELS[4:], {}, InputError,
+                  "label 0.5 at index 3 is not 0 or 1"),
     "one class": (_ROWS, [0] * 10, {}, SingleClassError, "training data must contain both classes"),
     "n_trees 0": (_ROWS, _LABELS, {"n_trees": 0}, ValueError, "n_trees must be >= 1, got 0"),
     "min_leaf 0": (_ROWS, _LABELS, {"min_leaf": 0}, ValueError, "min_leaf must be >= 1, got 0"),
@@ -342,6 +344,7 @@ _EVALUATE_FAULTS = {
     "zero rows": (LengthMismatchError, r"predictions \(\(0,\)\) and labels \(\(0,\)\) "
                   "must be equal-length non-empty vectors"),
     "label 2": (InputError, "label 2 at index 5 is not 0 or 1"),
+    "label 0.5": (InputError, "label 0.5 at index 3 is not 0 or 1"),
 }
 _ENTRY_POINTS = {
     "train_tree": lambda X, y, **settings: train_tree(X, y, **settings),
@@ -566,6 +569,34 @@ def test_cv_groups_never_split():
     assert len(result["fold_accuracies"]) == 5
     with pytest.raises(FoldTooSmallError):
         cross_validate(X, y, k=16, seed=0, groups=groups)
+
+
+# Recorded before folds were dealt from one group index. Every ninth label
+# is flipped so that no fold scores 1.0, and the 60 ids repeat out of sorted
+# order, so a fold dealt other rows scores differently.
+_GROUPED_CV_FOLDS = [0.9344262295081968, 0.8983050847457628, 0.8833333333333333, 0.8,
+                     0.8571428571428571, 0.8076923076923077, 0.8846153846153846]
+
+
+def test_grouped_cv_fold_accuracies_are_unchanged():
+    X, y, _, _ = make_feature_corpus(400, seed=3)
+    y[::9] ^= 1
+    groups = [f"p{(i * 37) % 60:02d}" for i in range(400)]
+    result = cross_validate(X, y, k=7, seed=3, groups=groups, workers=1)
+    assert result["fold_accuracies"] == _GROUPED_CV_FOLDS
+
+
+@pytest.mark.parametrize("entry", ["cross_validate", "fit_and_cross_validate"])
+def test_a_fold_whose_training_rows_hold_one_class_is_named(entry, monkeypatch):
+    def no_pool(*args):
+        raise AssertionError("a fold of one class reached the process pool")
+
+    monkeypatch.setattr(ensemble, "map_tasks", no_pool)
+    # Group "a" holds every positive: the fold that holds it out trains on negatives only.
+    groups = ["a"] * 5 + ["b", "c", "d", "e", "f"]
+    with pytest.raises(SingleClassError, match="^fold 2 of 2 trains on class 0 only: "
+                       "training data must contain both classes$"):
+        _ENTRY_POINTS[entry](_ROWS, [1] * 5 + [0] * 5, groups=groups, n_trees=3)
 
 
 def test_cv_rejects_features_and_labels_of_different_lengths():
