@@ -221,7 +221,7 @@ def cmd_eval(args):
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
-            if lineno == 1 and not row[0].strip().lstrip("-").isdigit():
+            if lineno == 1 and [cell.strip() for cell in row] == ["prediction", "label"]:
                 continue  # optional header
             if len(row) != 2:
                 raise ValueError(f"line {lineno}: expected 'prediction,label'")

@@ -23,20 +23,23 @@ MAGIC = b"DICM"
 TS_IMPLICIT_LE = "1.2.840.10008.1.2"
 TS_EXPLICIT_LE = "1.2.840.10008.1.2.1"
 
-TAG_TRANSFER_SYNTAX = (0x0002, 0x0010)
-TAG_PATIENT_ID = (0x0010, 0x0020)
-TAG_SLICE_THICKNESS = (0x0018, 0x0050)
-TAG_INSTANCE_NUMBER = (0x0020, 0x0013)
-TAG_ROWS = (0x0028, 0x0010)
-TAG_COLS = (0x0028, 0x0011)
-TAG_PIXEL_SPACING = (0x0028, 0x0030)
-TAG_BITS_ALLOCATED = (0x0028, 0x0100)
-TAG_BITS_STORED = (0x0028, 0x0101)
-TAG_HIGH_BIT = (0x0028, 0x0102)
-TAG_PIXEL_REPRESENTATION = (0x0028, 0x0103)
-TAG_RESCALE_INTERCEPT = (0x0028, 0x1052)
-TAG_RESCALE_SLOPE = (0x0028, 0x1053)
-TAG_PIXEL_DATA = (0x7FE0, 0x0010)
+# PS3.6 keyword -> (group, element) of every attribute the parser reads.
+TAGS = {
+    "TransferSyntaxUID": (0x0002, 0x0010),
+    "PatientID": (0x0010, 0x0020),
+    "SliceThickness": (0x0018, 0x0050),
+    "InstanceNumber": (0x0020, 0x0013),
+    "Rows": (0x0028, 0x0010),
+    "Columns": (0x0028, 0x0011),
+    "PixelSpacing": (0x0028, 0x0030),
+    "BitsAllocated": (0x0028, 0x0100),
+    "BitsStored": (0x0028, 0x0101),
+    "HighBit": (0x0028, 0x0102),
+    "PixelRepresentation": (0x0028, 0x0103),
+    "RescaleIntercept": (0x0028, 0x1052),
+    "RescaleSlope": (0x0028, 0x1053),
+    "PixelData": (0x7FE0, 0x0010),
+}
 
 # Explicit-VR codes that use the 4-byte length form (2 reserved bytes first).
 _LONG_VRS = {b"OB", b"OW", b"OF", b"SQ", b"UT", b"UN"}
@@ -102,40 +105,55 @@ def _read_elements(data, pos, explicit, group=None):
     return elements, pos
 
 
-def _decode_text(raw):
+# Value decoders (PS3.5 6.2), one per value representation; a bad value raises ValueError.
+
+def _text(raw):
     return raw.decode("ascii", errors="replace").strip("\x00 ")
 
 
-def _decode_ds(raw, tag):
+def _ds(raw):
     """Decimal string, possibly multi-valued (backslash separated), finite as PS3.5 6.2 requires."""
-    text = _decode_text(raw)
+    text = _text(raw)
     try:
         values = [float(part) for part in text.split("\\") if part.strip() != ""]
-    except ValueError as exc:
-        raise FormatError(f"malformed decimal string in {tag}: {text!r}") from exc
+    except ValueError:
+        raise ValueError(f"malformed decimal string {text!r}") from None
     if not all(map(math.isfinite, values)):
-        raise FormatError(f"non-finite decimal string in {tag}: {text!r}")
+        raise ValueError(f"non-finite decimal string {text!r}")
     return values
 
 
-def _decode_ds_value(raw, tag, name):
-    """The first value of a decimal string that must hold one (a Type 1 tag)."""
-    values = _decode_ds(raw, tag)
+def _ds1(raw):
+    """The first value of a decimal string that must hold one (a Type 1 attribute)."""
+    values = _ds(raw)
     if not values:
-        raise FormatError(f"empty {name} ({tag[0]:04X},{tag[1]:04X})")
+        raise ValueError("empty decimal string")
     return values[0]
 
 
-def _decode_us(raw, tag):
+def _us(raw):
     if len(raw) != 2:
-        raise FormatError(f"unsigned-short tag {tag} has length {len(raw)}")
+        raise ValueError(f"unsigned short of length {len(raw)}")
     return struct.unpack("<H", raw)[0]
 
 
-def _require(tags, tag):
-    if tag not in tags:
-        raise MissingTagError(tag)
-    return tags[tag]
+def _named(keyword):
+    """``keyword`` and its tag as a message names them, such as "Rows (0028,0010)"."""
+    return "{} ({:04X},{:04X})".format(keyword, *TAGS[keyword])
+
+
+def _get(elements, keyword, decode, default=None):
+    """Attribute ``keyword`` of ``elements`` decoded, else ``default``, else MissingTagError.
+    A value ``decode`` rejects raises FormatError naming the keyword and its tag."""
+    tag = TAGS[keyword]
+    if tag not in elements:
+        if default is None:
+            raise MissingTagError(tag)
+        return default
+    try:
+        return decode(elements[tag])
+    except ValueError as exc:
+        raise FormatError(f"{_named(keyword)}: {exc}") from exc
 
 
 def parse_dicom(
@@ -155,7 +173,8 @@ def parse_dicom(
         is read.
     FormatError
         Missing "DICM" magic, truncation, malformed values, an empty
-        RescaleSlope or RescaleIntercept, or Rows or Columns of 0.
+        RescaleSlope or RescaleIntercept, or Rows or Columns of 0. A message
+        about an attribute's value names its keyword and tag.
     UnsupportedError
         Transfer syntax other than little-endian implicit/explicit VR, a
         HighBit other than BitsStored - 1, or constructs that cannot be
@@ -168,7 +187,7 @@ def parse_dicom(
         raise FormatError('missing "DICM" magic after the 128-byte preamble')
     # The file meta group (0002,xxxx) is always explicit VR little endian.
     meta, pos = _read_elements(data, PREAMBLE_LEN + 4, explicit=True, group=0x0002)
-    transfer_syntax = _decode_text(meta.get(TAG_TRANSFER_SYNTAX, b""))
+    transfer_syntax = _get(meta, "TransferSyntaxUID", _text, "")
     explicit = _EXPLICIT_VR.get(transfer_syntax)
     if explicit is None:
         raise UnsupportedError(f"unsupported transfer syntax {transfer_syntax!r}")
@@ -176,66 +195,55 @@ def parse_dicom(
     if pos != len(data):
         raise FormatError("trailing bytes after the last complete data element")
 
-    rows = _decode_us(_require(tags, TAG_ROWS), TAG_ROWS)
-    cols = _decode_us(_require(tags, TAG_COLS), TAG_COLS)
+    rows = _get(tags, "Rows", _us)
+    cols = _get(tags, "Columns", _us)
     if rows == 0 or cols == 0:
-        raise FormatError(f"Rows and Columns must be positive, got {rows}x{cols}")
-    bits = _decode_us(_require(tags, TAG_BITS_ALLOCATED), TAG_BITS_ALLOCATED)
+        raise FormatError(f"Rows and Columns must be positive, got {rows}x{cols} "
+                          f"({_named('Rows')}, {_named('Columns')})")
+    bits = _get(tags, "BitsAllocated", _us)
     if bits not in (8, 16):
-        raise UnsupportedError(f"BitsAllocated must be 8 or 16, got {bits}")
-    # PS3.3 C.7.6.3: the value is bits 0..BitsStored-1; both tags default to the full word.
-    stored = _decode_us(tags[TAG_BITS_STORED], TAG_BITS_STORED) if TAG_BITS_STORED in tags else bits
+        raise UnsupportedError(f"{_named('BitsAllocated')} must be 8 or 16, got {bits}")
+    # PS3.3 C.7.6.3: the value is bits 0..BitsStored-1; both attributes default to the full word.
+    stored = _get(tags, "BitsStored", _us, bits)
     if not 1 <= stored <= bits:
-        raise FormatError(f"BitsStored must lie in [1, {bits}], got {stored}")
-    high_bit = _decode_us(tags[TAG_HIGH_BIT], TAG_HIGH_BIT) if TAG_HIGH_BIT in tags else stored - 1
+        raise FormatError(f"{_named('BitsStored')} must lie in [1, {bits}], got {stored}")
+    high_bit = _get(tags, "HighBit", _us, stored - 1)
     if high_bit != stored - 1:
-        raise UnsupportedError(f"HighBit must be BitsStored - 1 = {stored - 1}, got {high_bit}")
+        raise UnsupportedError(f"{_named('HighBit')} must be BitsStored - 1 = {stored - 1}, "
+                               f"got {high_bit}")
 
-    patient_id = _decode_text(_require(tags, TAG_PATIENT_ID))
-    instance_raw = _decode_text(_require(tags, TAG_INSTANCE_NUMBER))
-    try:
-        instance_number = int(instance_raw)
-    except ValueError as exc:
-        raise FormatError(f"malformed InstanceNumber {instance_raw!r}") from exc
+    patient_id = _get(tags, "PatientID", _text)
+    instance_number = _get(tags, "InstanceNumber", lambda raw: int(_text(raw)))
 
     # Both are Type 1 in the CT Image Module (PS3.3 C.8.2.1); absent, they
     # take the identity rescale.
-    slope = _decode_ds_value(tags.get(TAG_RESCALE_SLOPE, b"1"), TAG_RESCALE_SLOPE, "RescaleSlope")
-    intercept = _decode_ds_value(tags.get(TAG_RESCALE_INTERCEPT, b"0"), TAG_RESCALE_INTERCEPT,
-                                 "RescaleIntercept")
+    slope = _get(tags, "RescaleSlope", _ds1, 1.0)
+    intercept = _get(tags, "RescaleIntercept", _ds1, 0.0)
 
     # Type 2 in the Image Plane Module (PS3.3 C.7.6.2): an empty value means
     # unknown, as an absent one does.
-    thickness_values = _decode_ds(tags.get(TAG_SLICE_THICKNESS, b""), TAG_SLICE_THICKNESS)
-    if thickness_values:
-        thickness = thickness_values[0]
-        if thickness <= 0:
-            raise FormatError(f"SliceThickness must be positive, got {thickness}")
-    else:
-        thickness = default_thickness_mm
-        warnings.warn(
-            f"SliceThickness missing; assuming {thickness} mm", stacklevel=2
-        )
+    thickness_values = _get(tags, "SliceThickness", _ds, [])
+    thickness = thickness_values[0] if thickness_values else default_thickness_mm
+    if not thickness_values:
+        warnings.warn(f"SliceThickness missing; assuming {thickness} mm", stacklevel=2)
+    elif thickness <= 0:
+        raise FormatError(f"{_named('SliceThickness')} must be positive, got {thickness}")
 
-    if TAG_PIXEL_SPACING in tags:
-        values = _decode_ds(tags[TAG_PIXEL_SPACING], TAG_PIXEL_SPACING)
-        if len(values) != 2 or min(values) <= 0:
-            raise FormatError(f"malformed PixelSpacing {values}")
-        spacing = (values[0], values[1])
-    else:
-        spacing = default_spacing_mm
+    spacing = tuple(_get(tags, "PixelSpacing", _ds, default_spacing_mm))
+    if len(spacing) != 2 or min(spacing) <= 0:
+        raise FormatError(f"{_named('PixelSpacing')} must hold two positive values, got {spacing}")
 
-    # PixelRepresentation 1 stores two's complement; 0 (or no tag) unsigned.
-    signed = _decode_us(tags.get(TAG_PIXEL_REPRESENTATION, b"\0\0"), TAG_PIXEL_REPRESENTATION)
+    # PixelRepresentation 1 stores two's complement; 0 (or no attribute) unsigned.
+    signed = _get(tags, "PixelRepresentation", _us, 0)
     if signed not in (0, 1):
-        raise FormatError(f"PixelRepresentation must be 0 or 1, got {signed}")
-    raw_pixels = _require(tags, TAG_PIXEL_DATA)
+        raise FormatError(f"{_named('PixelRepresentation')} must be 0 or 1, got {signed}")
+    raw_pixels = _get(tags, "PixelData", bytes)
     dtype = np.dtype(f"<{'i' if signed else 'u'}{bits // 8}")
     if bits == 8 and len(raw_pixels) == rows * cols + 1:
         raw_pixels = raw_pixels[:-1]  # even-length padding byte
     if len(raw_pixels) != rows * cols * dtype.itemsize:
         raise FormatError(
-            f"PixelData holds {len(raw_pixels)} bytes; expected "
+            f"{_named('PixelData')} holds {len(raw_pixels)} bytes; expected "
             f"{rows * cols * dtype.itemsize} for {rows}x{cols} at {bits} bits"
         )
     pixel_data = np.frombuffer(raw_pixels, dtype=dtype)

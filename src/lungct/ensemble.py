@@ -52,6 +52,8 @@ from .features import FEATURE_NAMES
 
 MODEL_MAGIC = b"LCTM"
 MODEL_VERSION = 1
+# A model file names the features its rows hold, and they must be the pipeline's.
+_MODEL_NAMES = ",".join(FEATURE_NAMES).encode("ascii")
 
 CV_FOLDS = 15  # cross_validate's default k and the CLI's --cv-folds
 
@@ -467,9 +469,6 @@ class BaggedTreesClassifier(ParamsMixin):
     to 0; the confidence is the fraction of trees voting 1.
     """
 
-    # A row to predict has one value per name: fit's, load_model's from the file, else these.
-    feature_names_ = FEATURE_NAMES
-
     def __init__(self, n_trees=DEFAULTS.n_trees, seed=DEFAULTS.seed, min_leaf=DEFAULTS.min_leaf,
                  max_depth=DEFAULTS.max_depth):
         self.n_trees = n_trees
@@ -497,11 +496,10 @@ class BaggedTreesClassifier(ParamsMixin):
         del draws  # not needed while the trees grow
         self.trees_ = _grow(X, y, counts, self.min_leaf, self.max_depth)
         self.n_samples_ = n
-        self.feature_names_ = FEATURE_NAMES
         return self
 
     def _votes(self, X):
-        return self._routes.votes(_feature_rows(X, len(self.feature_names_)))
+        return self._routes.votes(_feature_rows(X, len(FEATURE_NAMES)))
 
     def predict(self, X):
         votes = self._votes(X)
@@ -640,12 +638,11 @@ def save_model(model: BaggedTreesClassifier, path):
     out = bytearray()
     out += MODEL_MAGIC
     out += struct.pack("<I", MODEL_VERSION)
-    names = ",".join(model.feature_names_).encode("ascii")
     out += struct.pack(
         "<IqIIIH", model.n_trees, int(model.seed), model.min_leaf, model.max_depth,
-        model.n_samples_, len(names),
+        model.n_samples_, len(_MODEL_NAMES),
     )
-    out += names
+    out += _MODEL_NAMES
     for tree in model.trees_:
         out += struct.pack("<I", tree.n_nodes)
         for i in range(tree.n_nodes):
@@ -661,9 +658,10 @@ def save_model(model: BaggedTreesClassifier, path):
 def load_model(path) -> BaggedTreesClassifier:
     """Read a model written by :func:`save_model`.
 
-    Beyond the layout, every tree must be one a prediction can walk: a split
-    node names one of the model's features and both its children come after
-    it in the same tree (``save_model`` writes nodes in preorder).
+    Beyond the layout, the file must name ``FEATURE_NAMES`` in order, and
+    every tree must be one a prediction can walk: a split node names one of
+    them and both its children come after it in the same tree (``save_model``
+    writes nodes in preorder).
     """
     try:
         data = Path(path).read_bytes()
@@ -688,10 +686,10 @@ def load_model(path) -> BaggedTreesClassifier:
     n_trees, seed, min_leaf, max_depth, n_samples, names_len = take("<IqIIIH")
     if n_trees == 0:
         raise ModelFormatError("model has zero trees")
-    try:
-        names = tuple(take(f"<{names_len}s")[0].decode("ascii").split(","))
-    except UnicodeDecodeError:
-        raise ModelFormatError("feature names are not ASCII") from None
+    (names,) = take(f"<{names_len}s")
+    if names != _MODEL_NAMES:
+        raise ModelFormatError(f"model features {names.decode('ascii', 'replace')} are not "
+                               f"{_MODEL_NAMES.decode('ascii')}")
     model = BaggedTreesClassifier(n_trees=n_trees, seed=seed, min_leaf=min_leaf, max_depth=max_depth)
     trees = []
     for _ in range(n_trees):
@@ -703,7 +701,7 @@ def load_model(path) -> BaggedTreesClassifier:
             (kind,) = take("<b")
             if kind == 0:
                 f, threshold, left, right = take("<Bdii")
-                if f >= len(names) or not (node < left < n_nodes and node < right < n_nodes):
+                if f >= len(FEATURE_NAMES) or not (node < left < n_nodes and node < right < n_nodes):
                     raise ModelFormatError(f"split node {node} has a bad feature or child index")
                 nodes.append((f, threshold, left, right, None))
             elif kind == 1:
@@ -715,5 +713,4 @@ def load_model(path) -> BaggedTreesClassifier:
         raise ModelFormatError("trailing bytes after the last tree")
     model.trees_ = trees
     model.n_samples_ = n_samples
-    model.feature_names_ = names
     return model

@@ -125,7 +125,8 @@ def load_series(
     Defaults outside the config's ranges raise ValueError before any file
     is read.
 
-    Unreadable files are skipped with a warning; an unreadable directory
+    A file that cannot be read or decoded, or is neither format, is skipped
+    with one warning, ``skipping NAME: REASON``; an unreadable directory
     raises EmptySeriesError. A window ``to_gray8`` rejects raises at the
     first DICOM slice.
     """
@@ -145,39 +146,31 @@ def load_series(
     for path in paths:
         try:
             data = path.read_bytes()
-        except OSError as exc:
+            if is_dicom(data):
+                obj = parse_dicom(data, thickness, spacing)
+            elif data.startswith(b"P5"):
+                obj = read_pgm(data)
+            else:
+                raise FormatError("not a DICOM or PGM file")
+        except Exception as exc:  # noqa: BLE001 - tolerate junk neighbours
             warnings.warn(f"skipping {path.name}: {exc}", stacklevel=2)
             continue
-        if is_dicom(data):
-            try:
-                obj = parse_dicom(data, thickness, spacing)
-            except Exception as exc:  # noqa: BLE001 - tolerate junk neighbours
-                warnings.warn(f"skipping {path.name}: {exc}", stacklevel=2)
-                continue
+        if isinstance(obj, DicomObject):
             # Outside the try: a bad window is the caller's error, not a junk file.
             dicoms.append((obj.instance_number, path.name, obj.patient_id, obj.slice_thickness_mm,
                            obj.pixel_spacing_mm, to_gray8(obj, *window)))
-        elif data.startswith(b"P5"):
-            try:
-                img = read_pgm(data)
-            except FormatError as exc:
-                warnings.warn(f"skipping {path.name}: {exc}", stacklevel=2)
-                continue
-            # ``paths`` is sorted, so PGM slices are numbered in filename order.
-            pgms.append((len(pgms) + 1, path.name, *pgm_fields, img))
         else:
-            warnings.warn(f"skipping {path.name}: not a DICOM or PGM file", stacklevel=2)
+            # ``paths`` is sorted, so PGM slices are numbered in filename order.
+            pgms.append((len(pgms) + 1, path.name, *pgm_fields, obj))
 
-    if dicoms:
-        if pgms:
-            warnings.warn(
-                f"{directory.name}: ignoring {len(pgms)} PGM file(s) because "
-                "DICOM slices are present",
-                stacklevel=2,
-            )
-        return _assemble(dicoms)
-    if pgms:
-        return _assemble(pgms)
+    if dicoms and pgms:
+        warnings.warn(
+            f"{directory.name}: ignoring {len(pgms)} PGM file(s) because "
+            "DICOM slices are present",
+            stacklevel=2,
+        )
+    if dicoms or pgms:
+        return _assemble(dicoms or pgms)
     raise EmptySeriesError(f"no readable slices in {directory}")
 
 

@@ -208,6 +208,19 @@ def test_analyze_missing_model_exits_3(phantom_dir, tmp_path):
     assert main(["analyze", str(series_dir), "--model", str(tmp_path / "nope.lctm")]) == 3
 
 
+def test_analyze_model_of_other_features_exits_3(phantom_dir, model_file, tmp_path, capsys):
+    # The model's trees split on feature indices, so a model file naming the
+    # pipeline's features in another order would classify the wrong columns.
+    series_dir, _ = phantom_dir
+    swapped = tmp_path / "swapped.lctm"
+    swapped.write_bytes(model_file.read_bytes().replace(
+        b"size_px,mean_intensity,", b"mean_intensity,size_px,", 1))
+    out = tmp_path / "out"
+    assert main(["analyze", str(series_dir), "--model", str(swapped), "--out", str(out)]) == 3
+    assert "model features mean_intensity,size_px,center_distance_px" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- train ---------------------------------------------------------------------
 
 def test_train_writes_model_and_reports_cv(corpus_csv, tmp_path, capsys):
@@ -596,6 +609,18 @@ def test_eval_non_integer_cell_names_its_line(tmp_path, capsys, cells):
     path.write_text(f"prediction,label\n1,1\n{cells}\n")
     assert main(["eval", str(path)]) == 4
     assert "line 3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("first, code, shown", [
+    ("1.0,1", 4, "error: line 1: "), ("+1,1", 0, "N = 3\n"), (" prediction , label ", 0, "N = 2\n"),
+])
+def test_eval_first_line_is_a_header_only_when_it_reads_prediction_label(tmp_path, capsys,
+                                                                          first, code, shown):
+    path = tmp_path / "preds.csv"
+    path.write_text(f"{first}\n1,1\n0,0\n")
+    assert main(["eval", str(path)]) == code
+    captured = capsys.readouterr()
+    assert shown in captured.out + captured.err
 
 
 def test_eval_label_outside_zero_and_one_exits_4(tmp_path, capsys):

@@ -5,14 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lungct.dicom import (
-    DicomObject,
-    TAG_INSTANCE_NUMBER,
-    TAG_PATIENT_ID,
-    TAG_PIXEL_DATA,
-    TAG_ROWS,
-    parse_dicom,
-)
+from lungct.dicom import TAGS, DicomObject, parse_dicom
 from lungct.errors import FormatError, IngestError, MissingTagError, UnsupportedError
 from lungct.ingest import to_gray8
 
@@ -147,7 +140,8 @@ def test_bad_pixel_representation_rejected():
         parse_dicom(build_dicom(**BASE, pixel_representation=2))
 
 
-@pytest.mark.parametrize("tag", [TAG_ROWS, TAG_PATIENT_ID, TAG_INSTANCE_NUMBER, TAG_PIXEL_DATA])
+@pytest.mark.parametrize("tag", [TAGS[keyword] for keyword in
+                                 ("Rows", "PatientID", "InstanceNumber", "PixelData")])
 def test_missing_required_tag(tag):
     with pytest.raises(MissingTagError) as excinfo:
         parse_dicom(build_dicom(omit=(tag,), **BASE))
@@ -329,6 +323,18 @@ def test_non_finite_decimal_string_is_format_error(tags):
     # has no spelling for NaN or infinity, though Python's float() accepts one.
     with pytest.raises(FormatError, match="decimal string"):
         parse_dicom(build_dicom(**{**BASE, **tags}))
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("thickness", "abc", "SliceThickness (0018,0050): malformed decimal string 'abc'"),
+    ("slope", "nan", "RescaleSlope (0028,1053): non-finite decimal string 'nan'"),
+    ("slope", " ", "RescaleSlope (0028,1053): empty decimal string"),
+    ("instance", "1.5", "InstanceNumber (0020,0013): invalid literal for int() with base 10: '1.5'"),
+], ids=["thickness-abc", "slope-nan", "slope-blank", "instance-1.5"])
+def test_malformed_value_names_its_keyword_and_tag(key, value, named):
+    with pytest.raises(FormatError) as excinfo:
+        parse_dicom(build_dicom(**{**BASE, key: value}))
+    assert str(excinfo.value) == named
 
 
 def test_window_width_must_be_positive():

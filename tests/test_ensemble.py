@@ -716,9 +716,15 @@ def test_load_zero_trees_rejected(tmp_path):
         load_model(path)
 
 
-def test_load_non_ascii_feature_names_rejected(tmp_path):
-    path, data, _ = _saved_model(tmp_path)
-    data[34] = 0xFF  # first byte of the feature names
+@pytest.mark.parametrize("names", [
+    b"\xffize_px,mean_intensity,center_distance_px",
+    b"mean_intensity,size_px,center_distance_px",  # the pipeline's features, swapped
+    b"size_px,mean_intensity",
+], ids=["non-ascii", "swapped", "two-names"])
+def test_load_non_ascii_feature_names_rejected(tmp_path, names):
+    # A model's rows must hold the pipeline's features, in the pipeline's order.
+    path, data, first = _saved_model(tmp_path)
+    data[32 : first - 4] = struct.pack("<H", len(names)) + names  # length, then the names
     path.write_bytes(bytes(data))
     with pytest.raises(ModelFormatError):
         load_model(path)

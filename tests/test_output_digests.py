@@ -2,19 +2,26 @@
 
 ``analyze`` and ``extract-features`` run on PGM phantom series: the
 benchmark's layout (12 slices, a tumour on 1-10, distractors on 0 and 11)
-for three seeds, and a 3-slice series without tumour. Every file they
-write but the volatile ``run_meta.json`` must hash to the value recorded
-here, with the default worker count and with ``--threads 1``. A change
-that alters an output on purpose updates these digests and says why.
+for three seeds, and a 3-slice series without tumour. One more series is
+written as DICOM: signed 16-bit stored values under a rescale other than
+the identity, with a slice thickness and pixel spacing other than the
+config's defaults, so windowing, rescale and geometry are pinned. Every
+file they write but the volatile ``run_meta.json`` must hash to the value
+recorded here, with the default worker count and with ``--threads 1``. A
+change that alters an output on purpose updates these digests and says why.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from lungct.cli import main
+from lungct.config import DEFAULTS
 from lungct.ensemble import BaggedTreesClassifier, save_model
 from lungct.phantom import make_feature_corpus, make_phantom_series, write_series_pgm
+
+from _dicom_fixture import build_dicom
 
 _BENCHMARK_LAYOUT = dict(n_slices=12, size=512, tumour_slices=tuple(range(1, 11)),
                          distractor_slices=(0, 11))
@@ -23,7 +30,10 @@ SERIES = {
     "BENCH8": dict(_BENCHMARK_LAYOUT, seed=8),
     "BENCH25": dict(_BENCHMARK_LAYOUT, seed=25),
     "CLEAR5": dict(n_slices=3, tumour_slices=(), seed=5),
+    "DICOM3": dict(n_slices=4, size=512, tumour_slices=(1, 2), distractor_slices=(0, 3), seed=3),
 }
+# The series written as DICOM: a rescale and a geometry other than the defaults.
+DICOM = {"DICOM3": dict(slope=0.5, intercept=-24.0, thickness=2.5, spacing=(0.7, 0.75))}
 
 # Per series (the folder name, so the patient id): file -> SHA-256.
 DIGESTS = {
@@ -75,6 +85,13 @@ DIGESTS = {
         "report.json": "374e6c5833a916814b8e1431e99e6bcaff61fd0ad8ede9142ede9cdcf91b7672",
         "report.txt": "e6bce220f2936d1aad6150d1c443de47816656df3693ca56f6c19dfd00fb7f84",
     },
+    "DICOM3": {
+        "features.csv": "784473bee27425a418afae5bf37d4bee29cf9b77e7e4fcda26042b0be6bf3285",
+        "report.json": "f07d41649c5afbc0695ac825dcd6f9847fda85463b8f2dddc7ac5bfc605b6221",
+        "report.txt": "31160b4f70907369fa7ab01807944dc9ce790a4a739db37ce25794c4b9c86d29",
+        "slice_001_overlay.pgm": "b5158736d0eca1c48c3d9ad7c3e847b08d5f49d396e32bb07e95da914926b848",
+        "slice_002_overlay.pgm": "9af814acea0926ff8e3952e3921dd3f089a34c09e9c5d5e1bfccaa23c873c5ac",
+    },
 }
 
 
@@ -91,8 +108,24 @@ def model_file(tmp_path_factory):
 def series_dirs(tmp_path_factory):
     root = tmp_path_factory.mktemp("series")
     for name, layout in SERIES.items():
-        write_series_pgm(root / name, make_phantom_series(**layout)[0])
+        slices = make_phantom_series(**layout)[0]
+        if name in DICOM:
+            _write_series_dicom(root / name, slices, patient_id=name, **DICOM[name])
+        else:
+            write_series_pgm(root / name, slices)
     return root
+
+
+def _write_series_dicom(directory, slices, patient_id, slope, intercept, **geometry):
+    """Each gray slice as signed stored values that the default window maps back onto it."""
+    directory.mkdir()
+    low = DEFAULTS.window_center - DEFAULTS.window_width / 2.0
+    for i, gray in enumerate(slices):
+        hu = gray.astype(np.float64) * DEFAULTS.window_width / 255.0 + low
+        stored = np.floor((hu - intercept) / slope + 0.5).astype(np.int16)
+        (directory / f"IM{i:04d}.dcm").write_bytes(build_dicom(
+            rows=gray.shape[0], cols=gray.shape[1], pixels=stored.ravel(), patient_id=patient_id,
+            instance=i + 1, slope=slope, intercept=intercept, pixel_representation=1, **geometry))
 
 
 def _sha256(path):
