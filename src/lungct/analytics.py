@@ -1,7 +1,7 @@
 """Aggregate per-slice detections into a series-level tumour report."""
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -71,26 +71,14 @@ def build_report(patient_id, detections, thickness_mm, spacing_mm) -> SeriesRepo
 
 
 def report_to_dict(report: SeriesReport) -> dict:
-    return {
-        "patient_id": report.patient_id,
-        "positives": [
-            {
-                "slice_index": d.slice_index,
-                "instance_number": d.instance_number,
-                "area_px": d.area_px,
-                "center": [int(d.center[0]), int(d.center[1])],
-                "confidence": d.confidence,
-            }
-            for d in report.positives
-        ],
-        "max_area_px": report.max_area_px,
-        "max_area_slice": report.max_area_slice,
-        "volume_px_mm": report.volume_px_mm,
-        "volume_mm3": report.volume_mm3,
-        "mean_confidence": report.mean_confidence,
-        "slice_thickness_mm": report.slice_thickness_mm,
-        "pixel_spacing_mm": list(report.pixel_spacing_mm),
-    }
+    """Every field of ``report``, and of each positive every field but its mask."""
+    out = {f.name: getattr(report, f.name) for f in fields(report)}
+    out["positives"] = [
+        {f.name: getattr(d, f.name) for f in fields(d) if f.name != "mask"}
+        | {"center": [int(c) for c in d.center]}
+        for d in report.positives
+    ]
+    return out
 
 
 def report_to_json(report: SeriesReport) -> str:

@@ -27,7 +27,7 @@ from .ensemble import (
     save_model,
 )
 from .errors import IngestError, InputError, ModelError
-from .features import read_feature_csv, write_feature_csv
+from .features import FEATURE_NAMES, _csv_rows, read_feature_csv, write_feature_csv
 from .ingest import load_series, write_pgm
 
 EXIT_OK = 0
@@ -203,22 +203,17 @@ def cmd_extract_features(args):
     for slice_index, candidates in enumerate(per_slice):
         for cand in candidates:
             label = -1 if positive_slices is None else int(slice_index in positive_slices)
-            f = cand.features
-            rows.append(
-                (series.patient_id, slice_index, f.size_px, f.mean_intensity,
-                 f.center_distance_px, label)
-            )
+            values = (getattr(cand.features, name) for name in FEATURE_NAMES)
+            rows.append((series.patient_id, slice_index, *values, label))
     write_feature_csv(args.out, rows)
     print(f"wrote {len(rows)} feature row(s) to {args.out}")
     return EXIT_OK
 
 
 def cmd_eval(args):
-    import csv
-
     predictions, labels = [], []
     with open(args.predictions_csv, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+        for lineno, row in enumerate(_csv_rows(fh), start=1):
             if not row:
                 continue
             if lineno == 1 and [cell.strip() for cell in row] == ["prediction", "label"]:

@@ -69,10 +69,10 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path):
-        """Parse a key = value config file; unknown keys are an error."""
+        """Parse a key = value config file; an unknown or repeated key is an error."""
         text = Path(path).read_text()
         known = {f.name: f.type for f in fields(cls)}
-        values = {}
+        values, first_line = {}, {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -83,10 +83,14 @@ class PipelineConfig:
             key, value = key.strip().replace("-", "_"), value.strip()
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in first_line:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} is already set "
+                                 f"on line {first_line[key]}")
             try:
                 values[key] = known[key](value)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: config key {key!r}: cannot parse {value!r}") from exc
+            first_line[key] = lineno
         return cls(**values)
 
     def override(self, **updates):

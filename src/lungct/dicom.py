@@ -8,6 +8,7 @@ constructs that cannot be skipped safely (undefined-length values).
 """
 
 import math
+import re
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -106,6 +107,10 @@ def _read_elements(data, pos, explicit, group=None):
 
 
 # Value decoders (PS3.5 6.2), one per value representation; a bad value raises ValueError.
+# A number must match its grammar too, as float() and int() also take such spellings as "1_0".
+_DS = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
+_IS = re.compile(r"[+-]?[0-9]+")
+
 
 def _text(raw):
     return raw.decode("ascii", errors="replace").strip("\x00 ")
@@ -114,12 +119,15 @@ def _text(raw):
 def _ds(raw):
     """Decimal string, possibly multi-valued (backslash separated), finite as PS3.5 6.2 requires."""
     text = _text(raw)
+    parts = [part.strip() for part in text.split("\\") if part.strip() != ""]
     try:
-        values = [float(part) for part in text.split("\\") if part.strip() != ""]
+        values = [float(part) for part in parts]
     except ValueError:
         raise ValueError(f"malformed decimal string {text!r}") from None
     if not all(map(math.isfinite, values)):
         raise ValueError(f"non-finite decimal string {text!r}")
+    if not all(map(_DS.fullmatch, parts)):
+        raise ValueError(f"malformed decimal string {text!r}")
     return values
 
 
@@ -129,6 +137,14 @@ def _ds1(raw):
     if not values:
         raise ValueError("empty decimal string")
     return values[0]
+
+
+def _is(raw):
+    text = _text(raw)
+    value = int(text)
+    if not _IS.fullmatch(text.strip()):
+        raise ValueError(f"malformed integer string {text!r}")
+    return value
 
 
 def _us(raw):
@@ -213,7 +229,7 @@ def parse_dicom(
                                f"got {high_bit}")
 
     patient_id = _get(tags, "PatientID", _text)
-    instance_number = _get(tags, "InstanceNumber", lambda raw: int(_text(raw)))
+    instance_number = _get(tags, "InstanceNumber", _is)
 
     # Both are Type 1 in the CT Image Module (PS3.3 C.8.2.1); absent, they
     # take the identity rescale.

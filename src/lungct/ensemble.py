@@ -52,6 +52,13 @@ from .features import FEATURE_NAMES
 
 MODEL_MAGIC = b"LCTM"
 MODEL_VERSION = 1
+# The LCTM records, in file order: the header (magic, version, n_trees, seed, min_leaf, max_depth,
+# n_samples, names length), the feature names, then per tree its node count and each node.
+_HEADER = struct.Struct("<4sIIqIIIH")
+_COUNT = struct.Struct("<I")
+_KIND = struct.Struct("<b")      # 0 split, 1 leaf
+_SPLIT = struct.Struct("<Bdii")  # feature, threshold, left, right
+_LEAF = struct.Struct("<II")     # the class counts n0, n1
 # A model file names the features its rows hold, and they must be the pipeline's.
 _MODEL_NAMES = ",".join(FEATURE_NAMES).encode("ascii")
 
@@ -635,23 +642,18 @@ def save_model(model: BaggedTreesClassifier, path):
         raise ValueError("model must be fitted before saving")
     # Checked here, not in fit: cross-validation's folds fit with seed + 1 on.
     check("seed", model.seed)
-    out = bytearray()
-    out += MODEL_MAGIC
-    out += struct.pack("<I", MODEL_VERSION)
-    out += struct.pack(
-        "<IqIIIH", model.n_trees, int(model.seed), model.min_leaf, model.max_depth,
-        model.n_samples_, len(_MODEL_NAMES),
-    )
+    out = bytearray(_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, model.n_trees, int(model.seed),
+                                 model.min_leaf, model.max_depth, model.n_samples_,
+                                 len(_MODEL_NAMES)))
     out += _MODEL_NAMES
     for tree in model.trees_:
-        out += struct.pack("<I", tree.n_nodes)
+        out += _COUNT.pack(tree.n_nodes)
         for i in range(tree.n_nodes):
             if tree.feature[i] >= 0:
-                out += struct.pack("<bBdii", 0, tree.feature[i], tree.threshold[i],
-                                   tree.left[i], tree.right[i])
+                out += _KIND.pack(0) + _SPLIT.pack(tree.feature[i], tree.threshold[i],
+                                                   tree.left[i], tree.right[i])
             else:
-                n0, n1 = tree.counts[i]
-                out += struct.pack("<bII", 1, n0, n1)
+                out += _KIND.pack(1) + _LEAF.pack(*tree.counts[i])
     Path(path).write_bytes(bytes(out))
 
 
@@ -660,7 +662,8 @@ def load_model(path) -> BaggedTreesClassifier:
 
     Beyond the layout, the file must name ``FEATURE_NAMES`` in order, and
     every tree must be one a prediction can walk: a split node names one of
-    them and both its children come after it in the same tree (``save_model``
+    them and both its children come after it in the same tree, and every node
+    but the first is the child of exactly one split node (``save_model``
     writes nodes in preorder).
     """
     try:
@@ -669,45 +672,47 @@ def load_model(path) -> BaggedTreesClassifier:
         raise ModelFormatError(f"cannot read model file: {exc}") from exc
     pos = 0
 
-    def take(fmt):
+    def take(record):
         nonlocal pos
         try:
-            values = struct.unpack_from(fmt, data, pos)
+            values = record.unpack_from(data, pos)
         except struct.error:
             raise ModelFormatError("model file is truncated") from None
-        pos += struct.calcsize(fmt)
+        pos += record.size
         return values
 
-    if take("<4s")[0] != MODEL_MAGIC:
+    if not data.startswith(MODEL_MAGIC):
         raise ModelFormatError("not a model file (bad magic)")
-    (version,) = take("<I")
+    _, version, n_trees, seed, min_leaf, max_depth, n_samples, names_len = take(_HEADER)
     if version != MODEL_VERSION:
         raise ModelVersionError(f"model format version {version} is not supported")
-    n_trees, seed, min_leaf, max_depth, n_samples, names_len = take("<IqIIIH")
     if n_trees == 0:
         raise ModelFormatError("model has zero trees")
-    (names,) = take(f"<{names_len}s")
+    (names,) = take(struct.Struct(f"{names_len}s"))
     if names != _MODEL_NAMES:
         raise ModelFormatError(f"model features {names.decode('ascii', 'replace')} are not "
                                f"{_MODEL_NAMES.decode('ascii')}")
     model = BaggedTreesClassifier(n_trees=n_trees, seed=seed, min_leaf=min_leaf, max_depth=max_depth)
     trees = []
     for _ in range(n_trees):
-        (n_nodes,) = take("<I")
+        (n_nodes,) = take(_COUNT)
         if n_nodes == 0:
             raise ModelFormatError("tree with zero nodes")
-        nodes = []  # (feature, threshold, left, right, counts) per node
+        nodes, children = [], []  # nodes: (feature, threshold, left, right, counts)
         for node in range(n_nodes):
-            (kind,) = take("<b")
+            (kind,) = take(_KIND)
             if kind == 0:
-                f, threshold, left, right = take("<Bdii")
+                f, threshold, left, right = take(_SPLIT)
                 if f >= len(FEATURE_NAMES) or not (node < left < n_nodes and node < right < n_nodes):
                     raise ModelFormatError(f"split node {node} has a bad feature or child index")
                 nodes.append((f, threshold, left, right, None))
+                children += (left, right)
             elif kind == 1:
-                nodes.append((-1, 0.0, -1, -1, take("<II")))
+                nodes.append((-1, 0.0, -1, -1, take(_LEAF)))
             else:
                 raise ModelFormatError(f"unknown node kind {kind}")
+        if sorted(children) != list(range(1, n_nodes)):
+            raise ModelFormatError("each node but the root must have exactly one parent")
         trees.append(DecisionTree(*zip(*nodes)))
     if pos != len(data):
         raise ModelFormatError("trailing bytes after the last tree")

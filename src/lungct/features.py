@@ -30,9 +30,7 @@ class RegionFeatures:
     bbox: tuple  # (x_min, x_max, y_min, y_max)
 
     def as_vector(self):
-        return np.array(
-            [self.size_px, self.mean_intensity, self.center_distance_px], dtype=np.float64
-        )
+        return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=np.float64)
 
 
 def center_distance(center, image_width) -> float:
@@ -81,14 +79,24 @@ def write_feature_csv(path, rows):
             )
 
 
+def _csv_rows(fh):
+    """The rows of the CSV file ``fh``; a line the csv module rejects is a ValueError naming it."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from exc
+
+
 def read_feature_csv(path):
     """Read a feature CSV back into (X, y, patient_ids, slice_indices).
 
-    Raises ValueError on a malformed file: a wrong header, or a row with a
-    bad field count, a non-finite feature or a label other than -1, 0 or 1.
+    Raises ValueError on a malformed file: a wrong header, a line the csv
+    module rejects, or a row with a bad field count, a non-finite feature
+    or a label other than -1, 0 or 1.
     """
     with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh)
         try:
             header = next(reader)
         except StopIteration as exc:

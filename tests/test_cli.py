@@ -28,7 +28,7 @@ from lungct.ensemble import (
     save_model,
     train_tree,
 )
-from lungct.features import read_feature_csv, write_feature_csv
+from lungct.features import CSV_HEADER, read_feature_csv, write_feature_csv
 from lungct.ingest import CtSeries, load_series, to_gray8
 from lungct.phantom import make_feature_corpus, make_phantom_series, write_series_pgm
 from lungct.pipeline import classify_series, segment_series
@@ -43,6 +43,7 @@ from lungct.preprocess import (
 from lungct.watershed import compute_markers
 
 from _dicom_fixture import build_dicom
+from _model_fixture import UNWALKABLE_TREES, one_tree_model
 
 CLASSIFIER_FIELDS = {"n_trees", "min_leaf", "max_depth", "seed"}
 SERIES_KW = dict(n_slices=6, size=512, tumour_slices=(2, 3), distractor_slices=(4,), seed=21)
@@ -196,10 +197,12 @@ def test_analyze_empty_series_exits_2(model_file, tmp_path):
     assert main(["analyze", str(empty), "--model", str(model_file)]) == 2
 
 
-def test_analyze_bad_model_exits_3(phantom_dir, tmp_path):
+@pytest.mark.parametrize("data", [b"garbage", *map(one_tree_model, UNWALKABLE_TREES.values())],
+                         ids=["garbage", *UNWALKABLE_TREES])
+def test_analyze_bad_model_exits_3(phantom_dir, tmp_path, data):
     series_dir, _ = phantom_dir
     bad = tmp_path / "bad.lctm"
-    bad.write_bytes(b"garbage")
+    bad.write_bytes(data)
     assert main(["analyze", str(series_dir), "--model", str(bad), "--out", str(tmp_path)]) == 3
 
 
@@ -379,6 +382,18 @@ def test_train_malformed_csv_exits_4(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("this,is,not\nvalid\n")
     assert main(["train", str(path), "--out", str(tmp_path / "m")]) == 4
+
+
+@pytest.mark.parametrize("command, text, line", [
+    ("train", ",".join(CSV_HEADER) + "\n" + "P" * 131_073 + ",0,1,2,3,0\n", 2),
+    ("eval", "1" * 131_073 + ",1\n", 1),
+], ids=["train", "eval"])
+def test_csv_line_the_csv_module_rejects_exits_4_naming_it(command, text, line, tmp_path, capsys):
+    # The csv module caps a field at 131072 characters and raises csv.Error past it.
+    path = tmp_path / "big.csv"
+    path.write_text(text)
+    assert main([command, str(path)]) == 4
+    assert capsys.readouterr().err == f"error: line {line}: field larger than field limit (131072)\n"
 
 
 # --- extract-features ---------------------------------------------------------
@@ -642,6 +657,14 @@ def test_config_file_and_flag_override(tmp_path):
     merged = config.override(band_lo=105, seed=None)
     assert merged.band_lo == 105
     assert merged.seed == 3
+
+
+def test_config_key_set_twice_exits_4_naming_both_lines(tmp_path, capsys):
+    cfg_file = tmp_path / "pipeline.cfg"
+    cfg_file.write_text("band_lo = 100\nband-lo = 105\n")
+    assert main(["train", str(tmp_path / "f.csv"), "--config", str(cfg_file)]) == 4
+    assert capsys.readouterr().err == (
+        f"error: {cfg_file}:2: config key 'band_lo' is already set on line 1\n")
 
 
 def test_config_unknown_key_rejected(tmp_path):

@@ -330,7 +330,12 @@ def test_non_finite_decimal_string_is_format_error(tags):
     ("slope", "nan", "RescaleSlope (0028,1053): non-finite decimal string 'nan'"),
     ("slope", " ", "RescaleSlope (0028,1053): empty decimal string"),
     ("instance", "1.5", "InstanceNumber (0020,0013): invalid literal for int() with base 10: '1.5'"),
-], ids=["thickness-abc", "slope-nan", "slope-blank", "instance-1.5"])
+    # Python's float() and int() take digit-group underscores; PS3.5 6.2 has none.
+    ("thickness", "2_5", "SliceThickness (0018,0050): malformed decimal string '2_5'"),
+    ("spacing", ("0_7", "0.7"), r"PixelSpacing (0028,0030): malformed decimal string '0_7\\0.7'"),
+    ("instance", "1_2", "InstanceNumber (0020,0013): malformed integer string '1_2'"),
+], ids=["thickness-abc", "slope-nan", "slope-blank", "instance-1.5", "thickness-2_5",
+        "spacing-0_7", "instance-1_2"])
 def test_malformed_value_names_its_keyword_and_tag(key, value, named):
     with pytest.raises(FormatError) as excinfo:
         parse_dicom(build_dicom(**{**BASE, key: value}))

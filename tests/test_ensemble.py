@@ -31,6 +31,7 @@ from lungct.errors import (
 )
 from lungct.phantom import make_feature_corpus
 
+from _model_fixture import UNWALKABLE_TREES, one_tree_model
 from _oracles import ReferenceTree
 
 
@@ -741,6 +742,18 @@ def test_load_corrupt_split_node_rejected(tmp_path, offset, fmt, value):
     struct.pack_into(fmt, data, first + offset, value)
     path.write_bytes(bytes(data))
     with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("children", UNWALKABLE_TREES.values(), ids=UNWALKABLE_TREES.keys())
+def test_load_tree_with_a_shared_or_orphaned_node_rejected(tmp_path, children):
+    # Routing takes a tree's levels for a tree's: every node but the root is
+    # the child of exactly one split node.
+    path = tmp_path / "tree.lctm"
+    path.write_bytes(one_tree_model([(1, 2), None, None]))
+    assert load_model(path).trees_[0].left == (1, -1, -1)  # the hand-built layout loads
+    path.write_bytes(one_tree_model(children))
+    with pytest.raises(ModelFormatError, match="each node but the root must have exactly one parent"):
         load_model(path)
 
 
