@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__, pipeline
 from .analytics import report_to_json, report_to_text
-from .config import DEFAULTS, PipelineConfig, range_text
+from .config import DEFAULTS, PipelineConfig, _key_lines, range_text
 from .ensemble import (
     CV_FOLDS,
     evaluate,
@@ -29,6 +29,7 @@ from .ensemble import (
 from .errors import IngestError, InputError, ModelError
 from .features import FEATURE_NAMES, _csv_rows, read_feature_csv, write_feature_csv
 from .ingest import load_series, write_pgm
+from .validation import _INTEGER, _check_numerals
 
 EXIT_OK = 0
 EXIT_INGEST = 2
@@ -79,26 +80,18 @@ def _load_series(args, config):
 def parse_labels_file(path):
     """Read 'patient_id: i,j,k' lines into {patient_id: set(indices)}, one line per patient."""
     table, first_line = {}, {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'patient_id: i,j,k'")
-        patient, _, rest = line.partition(":")
-        patient = patient.strip()
+    for lineno, patient, rest in _key_lines(path, ":", "patient_id: i,j,k"):
         if not patient:
             raise ValueError(f"{path}:{lineno}: empty patient id")
         if patient in table:
             raise ValueError(f"{path}:{lineno}: patient {patient!r} is already listed "
                              f"on line {first_line[patient]}")
-        indices = set()
-        rest = rest.strip()
-        if rest:
-            try:
-                indices = {int(part) for part in rest.split(",")}
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad slice index list: {rest!r}") from exc
+        parts = rest.split(",") if rest else []
+        try:
+            indices = {int(part) for part in parts}
+            _check_numerals(parts, _INTEGER)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad slice index list: {rest!r}") from exc
         table[patient], first_line[patient] = indices, lineno
     return table
 
@@ -213,18 +206,19 @@ def cmd_extract_features(args):
 def cmd_eval(args):
     predictions, labels = [], []
     with open(args.predictions_csv, newline="") as fh:
-        for lineno, row in enumerate(_csv_rows(fh), start=1):
+        for line, row in _csv_rows(fh):
             if not row:
                 continue
-            if lineno == 1 and [cell.strip() for cell in row] == ["prediction", "label"]:
+            if line == 1 and [cell.strip() for cell in row] == ["prediction", "label"]:
                 continue  # optional header
             if len(row) != 2:
-                raise ValueError(f"line {lineno}: expected 'prediction,label'")
+                raise ValueError(f"line {line}: expected 'prediction,label'")
             try:
                 predictions.append(int(row[0]))
                 labels.append(int(row[1]))
+                _check_numerals(row, _INTEGER)
             except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
+                raise ValueError(f"line {line}: {exc}") from None
     metrics = evaluate(predictions, labels)
 
     tp, fn, fp, tn = metrics["confusion"]

@@ -70,17 +70,10 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path):
         """Parse a key = value config file; an unknown or repeated key is an error."""
-        text = Path(path).read_text()
         known = {f.name: f.type for f in fields(cls)}
         values, first_line = {}, {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip().replace("-", "_"), value.strip()
+        for lineno, key, value in _key_lines(path, "=", "key = value"):
+            key = key.replace("-", "_")
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             if key in first_line:
@@ -116,6 +109,19 @@ class PipelineConfig:
         from .ensemble import BaggedTreesClassifier
 
         return self._kwargs_for(BaggedTreesClassifier)
+
+
+def _key_lines(path, separator, form):
+    """``(line, key, value)`` per ``key SEPARATOR value`` line of text file ``path``, both sides
+    stripped, past ``#`` comments and blank lines; a line without SEPARATOR is a ValueError."""
+    for lineno, raw in enumerate(Path(path).read_text().split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if separator not in line:
+            raise ValueError(f"{path}:{lineno}: expected {form!r}, got {raw!r}")
+        key, _, value = line.partition(separator)
+        yield lineno, key.strip(), value.strip()
 
 
 _RANGES = {f.name: f.metadata["range"] for f in fields(PipelineConfig)}

@@ -8,7 +8,6 @@ constructs that cannot be skipped safely (undefined-length values).
 """
 
 import math
-import re
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -17,6 +16,7 @@ import numpy as np
 
 from .config import DEFAULTS, check_geometry
 from .errors import FormatError, MissingTagError, UnsupportedError
+from .validation import _DECIMAL, _INTEGER
 
 PREAMBLE_LEN = 128
 MAGIC = b"DICM"
@@ -107,11 +107,6 @@ def _read_elements(data, pos, explicit, group=None):
 
 
 # Value decoders (PS3.5 6.2), one per value representation; a bad value raises ValueError.
-# A number must match its grammar too, as float() and int() also take such spellings as "1_0".
-_DS = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
-_IS = re.compile(r"[+-]?[0-9]+")
-
-
 def _text(raw):
     return raw.decode("ascii", errors="replace").strip("\x00 ")
 
@@ -126,7 +121,7 @@ def _ds(raw):
         raise ValueError(f"malformed decimal string {text!r}") from None
     if not all(map(math.isfinite, values)):
         raise ValueError(f"non-finite decimal string {text!r}")
-    if not all(map(_DS.fullmatch, parts)):
+    if not all(map(_DECIMAL.fullmatch, parts)):
         raise ValueError(f"malformed decimal string {text!r}")
     return values
 
@@ -142,7 +137,7 @@ def _ds1(raw):
 def _is(raw):
     text = _text(raw)
     value = int(text)
-    if not _IS.fullmatch(text.strip()):
+    if not _INTEGER.fullmatch(text.strip()):
         raise ValueError(f"malformed integer string {text!r}")
     return value
 

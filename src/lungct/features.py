@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyRegionError
-from .validation import as_gray_image
+from .validation import _DECIMAL, _INTEGER, _check_numerals, as_gray_image
 
 FEATURE_NAMES = ("size_px", "mean_intensity", "center_distance_px")
 CSV_HEADER = ("patient_id", "slice_index", *FEATURE_NAMES, "label")
@@ -80,10 +80,14 @@ def write_feature_csv(path, rows):
 
 
 def _csv_rows(fh):
-    """The rows of the CSV file ``fh``; a line the csv module rejects is a ValueError naming it."""
+    """``(line, row)`` for each row of the CSV file ``fh``, ``line`` being the physical line
+    the row starts on; a line the csv module rejects is a ValueError naming it."""
     reader = csv.reader(fh)
+    line = 1
     try:
-        yield from reader
+        for row in reader:
+            yield line, row
+            line = reader.line_num + 1
     except csv.Error as exc:
         raise ValueError(f"line {reader.line_num}: {exc}") from exc
 
@@ -92,23 +96,22 @@ def read_feature_csv(path):
     """Read a feature CSV back into (X, y, patient_ids, slice_indices).
 
     Raises ValueError on a malformed file: a wrong header, a line the csv
-    module rejects, or a row with a bad field count, a non-finite feature
-    or a label other than -1, 0 or 1.
+    module rejects, or a row with a bad field count, a non-finite feature,
+    a number outside its grammar or a label other than -1, 0 or 1.
     """
     with Path(path).open(newline="") as fh:
-        reader = _csv_rows(fh)
-        try:
-            header = next(reader)
-        except StopIteration as exc:
-            raise ValueError("empty feature CSV") from exc
+        rows = _csv_rows(fh)
+        _, header = next(rows, (None, None))
+        if header is None:
+            raise ValueError("empty feature CSV")
         if tuple(h.strip() for h in header) != CSV_HEADER:
             raise ValueError(f"unexpected feature CSV header: {header}")
         patient_ids, slice_indices, X, y = [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
+        for line, row in rows:
             if not row:
                 continue
             if len(row) != len(CSV_HEADER):
-                raise ValueError(f"line {lineno}: expected {len(CSV_HEADER)} fields, got {len(row)}")
+                raise ValueError(f"line {line}: expected {len(CSV_HEADER)} fields, got {len(row)}")
             try:
                 patient_ids.append(row[0])
                 slice_indices.append(int(row[1]))
@@ -116,10 +119,12 @@ def read_feature_csv(path):
                 y.append(int(row[-1]))
                 if not all(map(math.isfinite, X[-1])):
                     raise ValueError(f"non-finite feature value in {row[_CSV_FEATURES]}")
+                _check_numerals((row[1], row[-1]), _INTEGER)
+                _check_numerals(row[_CSV_FEATURES], _DECIMAL)
                 if y[-1] not in (-1, 0, 1):
                     raise ValueError(f"label must be -1, 0 or 1, got {y[-1]}")
             except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from exc
+                raise ValueError(f"line {line}: {exc}") from exc
     return (
         np.array(X, dtype=np.float64).reshape(-1, len(FEATURE_NAMES)),
         np.array(y, dtype=np.int64),

@@ -179,7 +179,7 @@ def _assemble(slices):
 
     Geometry is the first slice's, with a warning naming the distinct values
     when the slices disagree; every slice must share one patient id and one
-    shape.
+    shape, and no two may share an instance number.
     """
     slices.sort(key=lambda s: s[:2])
     numbers, _, patient_ids, thicknesses, spacings, images = zip(*slices)
@@ -189,6 +189,10 @@ def _assemble(slices):
                           f"using {values[0]}", stacklevel=3)
     if len(set(patient_ids)) > 1:
         raise MixedSeriesError(f"multiple patient ids in one directory: {sorted(set(patient_ids))}")
+    repeated = sorted({a for a, b in zip(numbers, numbers[1:]) if a == b})
+    if repeated:
+        raise MixedSeriesError(f"instance numbers {repeated} repeat in one directory; "
+                               "it must hold one series")
     shapes = {img.shape for img in images}
     if len(shapes) > 1:
         raise SeriesShapeError(f"inconsistent slice dimensions: {sorted(shapes)}")

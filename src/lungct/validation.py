@@ -1,8 +1,24 @@
-"""Input validation helpers for images and masks."""
+"""Input validation helpers for images, masks and the numbers of data files."""
+
+import re
 
 import numpy as np
 
 from .errors import ShapeError
+
+# The PS3.5 6.2 grammars of a decimal string (DS) and an integer string (IS).
+# A number read from a data file must match one, besides parsing: float() and
+# int() also read spellings such as "1_0" as 10.
+_DECIMAL = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _check_numerals(cells, grammar):
+    """Raise a ValueError naming the first of ``cells`` that, without its
+    surrounding whitespace, does not match ``grammar``."""
+    for cell in cells:
+        if not grammar.fullmatch(cell.strip()):
+            raise ValueError(f"malformed number {cell!r}")
 
 
 def as_gray_image(img, name="image"):

@@ -396,6 +396,30 @@ def test_csv_line_the_csv_module_rejects_exits_4_naming_it(command, text, line, 
     assert capsys.readouterr().err == f"error: line {line}: field larger than field limit (131072)\n"
 
 
+@pytest.mark.parametrize("command, text, line", [
+    ("train", ",".join(CSV_HEADER) + '\n"P\n1",0,1,2,3,0\nP2,0,1,2,3,7\n', 4),
+    ("eval", '"1\n",1\nx,1\n', 3),
+], ids=["train", "eval"])
+def test_csv_line_after_a_field_spanning_lines_is_its_physical_line(command, text, line, tmp_path,
+                                                                     capsys):
+    path = tmp_path / "multiline.csv"
+    path.write_text(text)
+    assert main([command, str(path)]) == 4
+    assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+
+
+@pytest.mark.parametrize("command, text, shown", [
+    ("train", ",".join(CSV_HEADER) + "\nP99,0,1_000,1_0.5,3,0_1\n", "line 2: malformed number '0_1'"),
+    ("eval", "1,1\n0_1,1\n", "line 2: malformed number '0_1'"),
+], ids=["train", "eval"])
+def test_csv_number_outside_its_grammar_exits_4(command, text, shown, tmp_path, capsys):
+    # int() and float() read "0_1" as 1 and "1_0.5" as 10.5.
+    path = tmp_path / "underscored.csv"
+    path.write_text(text)
+    assert main([command, str(path)]) == 4
+    assert capsys.readouterr().err == f"error: {shown}\n"
+
+
 # --- extract-features ---------------------------------------------------------
 
 def test_extract_features_with_labels(phantom_dir, tmp_path):
@@ -445,6 +469,35 @@ def test_extract_features_labels_that_mislabel_exit_4_before_segmenting(
     assert calls == [] and not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and re.search(message, err), err
+
+
+@pytest.mark.parametrize("option, line, parsed, bad, form", [
+    ("--config", "band_lo = 105", lambda path: PipelineConfig.from_file(path).band_lo == 105,
+     "band_lo 105", "key = value"),
+    ("--labels", "PH001: 1,2", lambda path: parse_labels_file(path) == {"PH001": {1, 2}},
+     "PH001 1,2", "patient_id: i,j,k"),
+], ids=["config", "labels"])
+def test_config_and_labels_files_share_one_line_syntax(option, line, parsed, bad, form, phantom_dir,
+                                                       tmp_path, capsys):
+    path = tmp_path / "key_lines.txt"
+    path.write_text(f"# a comment-only line\n\n{line}  # a trailing comment\n")
+    assert parsed(path)
+    # A form feed ends no line, so the bad line is the third.
+    path.write_text(f"# a comment-only line\f\n\n{bad}\n")
+    series_dir, _ = phantom_dir
+    argv = ["extract-features", str(series_dir), "--out", str(tmp_path / "f.csv"), option, str(path)]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == f"error: {path}:3: expected {form!r}, got {bad!r}\n"
+
+
+def test_extract_features_slice_index_outside_its_grammar_exits_4(phantom_dir, tmp_path, capsys):
+    # int() reads "1_2" as 12.
+    series_dir, _ = phantom_dir
+    labels = tmp_path / "labels.txt"
+    labels.write_text("PH001: 1_2\n")
+    argv = ["extract-features", str(series_dir), "--labels", str(labels), "--out", str(tmp_path / "f.csv")]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == f"error: {labels}:1: bad slice index list: '1_2'\n"
 
 
 def test_extract_features_patient_without_tumour_labels_every_candidate_0(phantom_dir, tmp_path):
@@ -527,6 +580,20 @@ def test_dead_worker_exits_2(monkeypatch, phantom_dir, model_file, corpus_csv, t
         assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "PH001").exists()
     assert not (tmp_path / "m.lctm").exists()
+
+
+def test_analyze_two_series_of_one_patient_in_one_folder_exits_2(model_file, tmp_path, capsys):
+    series_dir = tmp_path / "DCM"
+    series_dir.mkdir()
+    for series in "ab":
+        for instance in (1, 2, 3):
+            (series_dir / f"{series}{instance}.dcm").write_bytes(
+                build_dicom(instance=instance, thickness=5.0))
+    out = tmp_path / "out"
+    assert main(["analyze", str(series_dir), "--model", str(model_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: instance numbers [1, 2, 3] repeat") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_zero_window_width_on_dicom_exits_4(model_file, tmp_path, capsys):

@@ -170,6 +170,18 @@ def test_csv_label_outside_minus_one_to_one_rejected_with_line(tmp_path, label):
         read_feature_csv(path)
 
 
+@pytest.mark.parametrize("cells, bad", [
+    ("1_0,1,2,3,0", "1_0"), ("0,1_000,2,3,0", "1_000"), ("0,1,1_0.5,3,0", "1_0.5"),
+    ("0,1,2,3,0_1", "0_1"), ("0,1,2,\u0663,0", "\u0663"),
+])
+def test_csv_number_outside_its_grammar_rejected_with_line(tmp_path, cells, bad):
+    # float() and int() read "1_000" as 1000 and an Arabic-Indic digit as its value.
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(CSV_HEADER) + f"\nP1,0,1,2,3,0\nP1,{cells}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^line 3: malformed number '{bad}'$"):
+        read_feature_csv(path)
+
+
 def test_csv_malformed_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("not,a,real,header\n")

@@ -130,6 +130,13 @@ def test_mixed_patients_rejected(tmp_path):
         load_series(tmp_path)
 
 
+def test_two_series_of_one_patient_in_one_directory_rejected(tmp_path):
+    # Each series numbers its slices from 1, so merged they would repeat 1, 2, 3.
+    _write_slices(tmp_path, [(f"{series}{i}.dcm", _slice_kwargs(i)) for series in "ab" for i in (1, 2, 3)])
+    with pytest.raises(MixedSeriesError, match=r"instance numbers \[1, 2, 3\] repeat"):
+        load_series(tmp_path)
+
+
 def test_empty_directory_rejected(tmp_path):
     with pytest.raises(EmptySeriesError):
         load_series(tmp_path)
