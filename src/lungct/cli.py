@@ -123,15 +123,16 @@ def cmd_analyze(args):
     staging.mkdir(parents=True)
     try:
         report, _ = pipeline.classify_series(series, model, config)
-        (staging / "report.json").write_text(report_to_json(report))
-        (staging / "report.txt").write_text(report_to_text(report))
+        (staging / "report.json").write_text(report_to_json(report), encoding="utf-8")
+        (staging / "report.txt").write_text(report_to_text(report), encoding="utf-8")
         for detection in report.positives:
             overlay = pipeline.render_overlay(series.slices[detection.slice_index], detection.mask)
             write_pgm(staging / f"slice_{detection.slice_index:03d}_overlay.pgm", overlay)
         meta = {"version": __version__, "finished_at": time.time(),
                 "elapsed_s": time.perf_counter() - start, "n_slices": len(series),
                 "threads": config.threads}
-        (staging / "run_meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+        (staging / "run_meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n",
+                                               encoding="utf-8")
         if patient_dir.exists():
             shutil.rmtree(patient_dir)
         staging.rename(patient_dir)
@@ -205,7 +206,7 @@ def cmd_extract_features(args):
 
 def cmd_eval(args):
     predictions, labels = [], []
-    with open(args.predictions_csv, newline="") as fh:
+    with open(args.predictions_csv, encoding="utf-8", newline="") as fh:
         for line, row in _csv_rows(fh):
             if not row:
                 continue

@@ -34,7 +34,7 @@ def _tunable(default, low, high=inf, ends="[)"):
 class PipelineConfig:
     # ingest: display window applied to DICOM stored values (PGM input is
     # used as-is), a lung/soft-tissue compromise; fallback geometry for
-    # headerless PGM series
+    # PGM series and for DICOM slices without SliceThickness or PixelSpacing
     window_center: float = _tunable(-300.0, -inf, inf, "()")
     window_width: float = _tunable(1400.0, 0, inf, "()")
     slice_thickness_mm: float = _tunable(5.0, 0, inf, "()")
@@ -114,7 +114,7 @@ class PipelineConfig:
 def _key_lines(path, separator, form):
     """``(line, key, value)`` per ``key SEPARATOR value`` line of text file ``path``, both sides
     stripped, past ``#`` comments and blank lines; a line without SEPARATOR is a ValueError."""
-    for lineno, raw in enumerate(Path(path).read_text().split("\n"), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

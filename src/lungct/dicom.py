@@ -9,12 +9,10 @@ constructs that cannot be skipped safely (undefined-length values).
 
 import math
 import struct
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULTS, check_geometry
 from .errors import FormatError, MissingTagError, UnsupportedError
 from .validation import _DECIMAL, _INTEGER
 
@@ -56,6 +54,8 @@ class DicomObject:
     ``pixel_data`` is flat in the stored dtype: 8 or 16 bits, signed when
     PixelRepresentation is 1. Each value is its low BitsStored bits,
     sign-extended when signed; the bits above HighBit are dropped.
+    ``slice_thickness_mm`` and ``pixel_spacing_mm`` are None when the file
+    does not hold them.
     """
 
     tags: dict = field(repr=False)
@@ -64,8 +64,8 @@ class DicomObject:
     bits_allocated: int
     rescale_slope: float
     rescale_intercept: float
-    slice_thickness_mm: float
-    pixel_spacing_mm: tuple
+    slice_thickness_mm: float | None
+    pixel_spacing_mm: tuple | None
     patient_id: str
     instance_number: int
     pixel_data: np.ndarray
@@ -123,7 +123,7 @@ def _ds(raw):
         raise ValueError(f"non-finite decimal string {text!r}")
     if not all(map(_DECIMAL.fullmatch, parts)):
         raise ValueError(f"malformed decimal string {text!r}")
-    return values
+    return tuple(values)
 
 
 def _ds1(raw):
@@ -153,35 +153,28 @@ def _named(keyword):
     return "{} ({:04X},{:04X})".format(keyword, *TAGS[keyword])
 
 
-def _get(elements, keyword, decode, default=None):
-    """Attribute ``keyword`` of ``elements`` decoded, else ``default``, else MissingTagError.
-    A value ``decode`` rejects raises FormatError naming the keyword and its tag."""
+def _get(elements, keyword, decode, *default):
+    """Attribute ``keyword`` of ``elements`` decoded, else ``default`` if given, else
+    MissingTagError. A value ``decode`` rejects raises FormatError naming the keyword and its tag."""
     tag = TAGS[keyword]
     if tag not in elements:
-        if default is None:
+        if not default:
             raise MissingTagError(tag)
-        return default
+        return default[0]
     try:
         return decode(elements[tag])
     except ValueError as exc:
         raise FormatError(f"{_named(keyword)}: {exc}") from exc
 
 
-def parse_dicom(
-    data: bytes,
-    default_thickness_mm=DEFAULTS.slice_thickness_mm,
-    default_spacing_mm=(DEFAULTS.pixel_spacing_row_mm, DEFAULTS.pixel_spacing_col_mm),
-) -> DicomObject:
+def parse_dicom(data: bytes) -> DicomObject:
     """Parse one DICOM file image into a :class:`DicomObject`.
 
     A slice without SliceThickness (or with an empty one) or without
-    PixelSpacing gets the given default.
+    PixelSpacing gets None for it.
 
     Raises
     ------
-    ValueError
-        A default outside its config field's range, checked before the data
-        is read.
     FormatError
         Missing "DICM" magic, truncation, malformed values, an empty
         RescaleSlope or RescaleIntercept, or Rows or Columns of 0. A message
@@ -193,7 +186,6 @@ def parse_dicom(
     MissingTagError
         A tag the pipeline cannot default is absent.
     """
-    default_thickness_mm, default_spacing_mm = check_geometry(default_thickness_mm, default_spacing_mm)
     if not is_dicom(data):
         raise FormatError('missing "DICM" magic after the 128-byte preamble')
     # The file meta group (0002,xxxx) is always explicit VR little endian.
@@ -232,16 +224,13 @@ def parse_dicom(
     intercept = _get(tags, "RescaleIntercept", _ds1, 0.0)
 
     # Type 2 in the Image Plane Module (PS3.3 C.7.6.2): an empty value means
-    # unknown, as an absent one does.
-    thickness_values = _get(tags, "SliceThickness", _ds, [])
-    thickness = thickness_values[0] if thickness_values else default_thickness_mm
-    if not thickness_values:
-        warnings.warn(f"SliceThickness missing; assuming {thickness} mm", stacklevel=2)
-    elif thickness <= 0:
+    # unknown, as an absent one does; unknown is None.
+    thickness = (_get(tags, "SliceThickness", _ds, ()) or (None,))[0]
+    if thickness is not None and thickness <= 0:
         raise FormatError(f"{_named('SliceThickness')} must be positive, got {thickness}")
 
-    spacing = tuple(_get(tags, "PixelSpacing", _ds, default_spacing_mm))
-    if len(spacing) != 2 or min(spacing) <= 0:
+    spacing = _get(tags, "PixelSpacing", _ds, None)
+    if spacing is not None and (len(spacing) != 2 or min(spacing) <= 0):
         raise FormatError(f"{_named('PixelSpacing')} must hold two positive values, got {spacing}")
 
     # PixelRepresentation 1 stores two's complement; 0 (or no attribute) unsigned.

@@ -70,7 +70,7 @@ def feature_vector(region) -> RegionFeatures:
 
 def write_feature_csv(path, rows):
     """Write feature rows: (patient_id, slice_index, size, mean, distance, label)."""
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for patient_id, slice_index, size, mean, distance, label in rows:
@@ -99,7 +99,7 @@ def read_feature_csv(path):
     module rejects, or a row with a bad field count, a non-finite feature,
     a number outside its grammar or a label other than -1, 0 or 1.
     """
-    with Path(path).open(newline="") as fh:
+    with Path(path).open(encoding="utf-8", newline="") as fh:
         rows = _csv_rows(fh)
         _, header = next(rows, (None, None))
         if header is None:

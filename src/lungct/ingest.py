@@ -121,15 +121,16 @@ def load_series(
     holds no DICOM at all, binary PGM files are accepted as a fallback
     slice format (ordered by filename, patient id = resolved directory name).
     The default thickness and spacing (typically the config's) stand in for
-    geometry a slice lacks: always for PGM, per missing tag for DICOM.
-    Defaults outside the config's ranges raise ValueError before any file
-    is read.
+    geometry a slice lacks: always for PGM, per missing tag for DICOM, with
+    one warning per series for a missing SliceThickness. A window or default
+    outside the config's ranges raises ValueError before any file is read.
 
     A file that cannot be read or decoded, or is neither format, is skipped
     with one warning, ``skipping NAME: REASON``; an unreadable directory
-    raises EmptySeriesError. A window ``to_gray8`` rejects raises at the
-    first DICOM slice.
+    raises EmptySeriesError.
     """
+    check("window_center", window[0])
+    check("window_width", window[1])
     thickness, spacing = check_geometry(default_thickness_mm, default_spacing_mm)
     directory = Path(directory)
     if not directory.is_dir():
@@ -143,11 +144,12 @@ def load_series(
     # Per file: (instance number, filename, patient id, thickness, spacing, gray8 slice).
     dicoms = []
     pgms = []
+    thickness_missing = False
     for path in paths:
         try:
             data = path.read_bytes()
             if is_dicom(data):
-                obj = parse_dicom(data, thickness, spacing)
+                obj = parse_dicom(data)
             elif data.startswith(b"P5"):
                 obj = read_pgm(data)
             else:
@@ -156,13 +158,17 @@ def load_series(
             warnings.warn(f"skipping {path.name}: {exc}", stacklevel=2)
             continue
         if isinstance(obj, DicomObject):
-            # Outside the try: a bad window is the caller's error, not a junk file.
-            dicoms.append((obj.instance_number, path.name, obj.patient_id, obj.slice_thickness_mm,
-                           obj.pixel_spacing_mm, to_gray8(obj, *window)))
+            # parse_dicom gives None for a tag the file lacks, else a positive value.
+            thickness_missing |= obj.slice_thickness_mm is None
+            dicoms.append((obj.instance_number, path.name, obj.patient_id,
+                           obj.slice_thickness_mm or thickness, obj.pixel_spacing_mm or spacing,
+                           to_gray8(obj, *window)))
         else:
             # ``paths`` is sorted, so PGM slices are numbered in filename order.
             pgms.append((len(pgms) + 1, path.name, *pgm_fields, obj))
 
+    if thickness_missing:
+        warnings.warn(f"SliceThickness missing; assuming {thickness} mm", stacklevel=2)
     if dicoms and pgms:
         warnings.warn(
             f"{directory.name}: ignoring {len(pgms)} PGM file(s) because "

@@ -272,9 +272,10 @@ def test_threads_default_is_the_number_of_usable_cpus():
     assert PipelineConfig().threads == len(os.sched_getaffinity(0))
 
 
-def _run_python(code, *args):
-    """Run ``code`` in a fresh interpreter that imports lungct from this checkout."""
-    env = dict(os.environ, PYTHONPATH=str(Path(lungct.__file__).resolve().parents[1]))
+def _run_python(code, *args, **env):
+    """Run ``code`` in a fresh interpreter that imports lungct from this checkout,
+    with ``env`` added to its environment."""
+    env = dict(os.environ, PYTHONPATH=str(Path(lungct.__file__).resolve().parents[1]), **env)
     return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
                           capture_output=True, text=True, timeout=120)
 
@@ -289,6 +290,23 @@ def test_train_and_eval_never_import_scipy(corpus_csv, tmp_path):
         "assert main(['eval', sys.argv[3]]) == 0\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n",
         corpus_csv, tmp_path / "m.lctm", predictions,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_train_reads_utf8_inputs_under_an_ascii_locale(corpus_csv, tmp_path):
+    # LC_ALL=C alone turns on Python's UTF-8 mode; PYTHONUTF8=0 keeps the locale's ASCII.
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text(corpus_csv.read_text(encoding="utf-8").replace("syn00000,", "P\u00e9,"),
+                      encoding="utf-8")
+    config = tmp_path / "settings.cfg"
+    config.write_text("# r\u00e9glages\nn_trees = 3\n", encoding="utf-8")
+    result = _run_python(
+        "import sys\n"
+        "from lungct.cli import main\n"
+        "sys.exit(main(['train', sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3],\n"
+        "               '--cv-folds', '2', '--threads', '1']))\n",
+        corpus, config, tmp_path / "m.lctm", LC_ALL="C", PYTHONUTF8="0",
     )
     assert result.returncode == 0, result.stderr
 

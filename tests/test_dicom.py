@@ -7,7 +7,7 @@ import pytest
 
 from lungct.dicom import TAGS, DicomObject, parse_dicom
 from lungct.errors import FormatError, IngestError, MissingTagError, UnsupportedError
-from lungct.ingest import to_gray8
+from lungct.ingest import load_series, to_gray8
 
 from _dicom_fixture import assert_same_parse, build_dicom, element_explicit, element_implicit
 
@@ -151,26 +151,13 @@ def test_missing_required_tag(tag):
 def test_defaults_for_optional_tags():
     data = build_dicom(rows=2, cols=2, bits=16, pixels=(1, 2, 3, 4),
                        patient_id="A", instance=1)  # no slope/intercept/thickness/spacing
-    with pytest.warns(UserWarning, match="SliceThickness"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         obj = parse_dicom(data)
     assert obj.rescale_slope == 1.0
     assert obj.rescale_intercept == 0.0
-    assert obj.slice_thickness_mm == 5.0
-    assert obj.pixel_spacing_mm == (1.0, 1.0)
-
-
-@pytest.mark.parametrize("thickness, spacing, message", [
-    (-2.0, (1.0, 1.0), "slice_thickness_mm must be > 0, got -2.0"),
-    (float("nan"), (1.0, 1.0), "slice_thickness_mm must be > 0, got nan"),
-    (5.0, (0.0, 1.0), "pixel_spacing_row_mm must be > 0, got 0.0"),
-    (5.0, (1.0, float("nan")), "pixel_spacing_col_mm must be > 0, got nan"),
-    (-2.0, (0.0, float("nan")), "slice_thickness_mm must be > 0, got -2.0"),
-])
-def test_bad_default_geometry_rejected(thickness, spacing, message):
-    data = build_dicom(thickness=None, spacing=None, **{k: v for k, v in BASE.items()
-                                                        if k not in ("thickness", "spacing")})
-    with pytest.raises(ValueError, match=message):
-        parse_dicom(data, thickness, spacing)
+    assert obj.slice_thickness_mm is None
+    assert obj.pixel_spacing_mm is None
 
 
 def test_compressed_transfer_syntax_rejected():
@@ -243,11 +230,14 @@ def test_empty_rescale_value_is_format_error(key, value, name):
 
 
 @pytest.mark.parametrize("value", ["", " "])
-def test_empty_slice_thickness_takes_the_default(value):
+def test_empty_slice_thickness_takes_the_default(tmp_path, value):
     # Type 2 in the Image Plane Module (PS3.3 C.7.6.2): zero length means unknown.
+    data = build_dicom(**{**BASE, "thickness": value})
+    assert parse_dicom(data).slice_thickness_mm is None
+    (tmp_path / "1.dcm").write_bytes(data)
     with pytest.warns(UserWarning, match="SliceThickness missing; assuming 2.5 mm"):
-        obj = parse_dicom(build_dicom(**{**BASE, "thickness": value}), 2.5)
-    assert obj.slice_thickness_mm == 2.5
+        series = load_series(tmp_path, default_thickness_mm=2.5)
+    assert series.slice_thickness_mm == 2.5
 
 
 # --- windowing ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Series assembly and the PGM fallback."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -213,14 +214,27 @@ def test_pgm_series_fallback(tmp_path):
     (3.0, (0.0, 0.9), "pixel_spacing_row_mm must be > 0, got 0.0"),
     (3.0, (0.7, float("nan")), "pixel_spacing_col_mm must be > 0, got nan"),
     (3.0, (0.7, float("inf")), "pixel_spacing_col_mm must be < inf, got inf"),
+    (-2.0, (0.0, float("nan")), "slice_thickness_mm must be > 0, got -2.0"),
 ], ids=["negative-thickness", "nan-thickness", "zero-row-spacing", "nan-col-spacing",
-        "inf-col-spacing"])
+        "inf-col-spacing", "all-bad-names-thickness-first"])
 def test_out_of_range_default_geometry_rejected_before_any_file_is_read(
         tmp_path, monkeypatch, thickness, spacing, match):
     write_pgm(tmp_path / "s0.pgm", np.full((4, 5), 10, dtype=np.uint8))
     monkeypatch.setattr(Path, "read_bytes", lambda self: pytest.fail(f"read {self.name}"))
     with pytest.raises(ValueError, match=match):
         load_series(tmp_path, default_thickness_mm=thickness, default_spacing_mm=spacing)
+
+
+@pytest.mark.parametrize("window, match", [
+    ((0.0, -5.0), "window_width must be > 0, got -5.0"),
+    ((float("nan"), 100.0), "window_center must be > -inf, got nan"),
+], ids=["negative-width", "nan-center"])
+def test_out_of_range_window_rejected_before_any_file_is_read(tmp_path, monkeypatch, window,
+                                                              match):
+    write_pgm(tmp_path / "s0.pgm", np.full((4, 5), 10, dtype=np.uint8))
+    monkeypatch.setattr(Path, "read_bytes", lambda self: pytest.fail(f"read {self.name}"))
+    with pytest.raises(ValueError, match=match):
+        load_series(tmp_path, window=window)
 
 
 def test_missing_dicom_geometry_takes_the_callers_defaults(tmp_path):
@@ -231,6 +245,21 @@ def test_missing_dicom_geometry_takes_the_callers_defaults(tmp_path):
         series = load_series(tmp_path, default_thickness_mm=2.5, default_spacing_mm=(0.6, 0.7))
     assert series.slice_thickness_mm == 2.5
     assert series.pixel_spacing_mm == (0.6, 0.7)
+
+
+def test_missing_slice_thickness_warns_once_per_series(tmp_path):
+    _write_slices(tmp_path, [
+        (f"{i}.dcm", {**_slice_kwargs(i), "thickness": thickness})
+        for i, thickness in ((1, None), (2, 2.0), (3, None))
+    ])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        series = load_series(tmp_path, default_thickness_mm=2.5)
+    assert sorted(str(w.message) for w in caught) == [
+        "SliceThickness missing; assuming 2.5 mm",
+        "slice thickness differs across slices: [2.0, 2.5]; using 2.5",
+    ]
+    assert series.slice_thickness_mm == 2.5
 
 
 def test_pgm_roundtrip(tmp_path, rng):
