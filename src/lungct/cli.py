@@ -69,12 +69,18 @@ def _load_config(args):
 
 
 def _load_series(args, config):
-    return load_series(
+    """The series, whose patient id must be text the UTF-8 outputs can hold."""
+    series = load_series(
         args.series_dir,
         window=(config.window_center, config.window_width),
         default_thickness_mm=config.slice_thickness_mm,
         default_spacing_mm=(config.pixel_spacing_row_mm, config.pixel_spacing_col_mm),
     )
+    try:
+        series.patient_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise IngestError(f"patient id {series.patient_id!r} is not text that UTF-8 can write") from None
+    return series
 
 
 def parse_labels_file(path):
@@ -122,7 +128,7 @@ def cmd_analyze(args):
     shutil.rmtree(staging, ignore_errors=True)
     staging.mkdir(parents=True)
     try:
-        report, _ = pipeline.classify_series(series, model, config)
+        report = pipeline.classify_series(series, model, config)
         (staging / "report.json").write_text(report_to_json(report), encoding="utf-8")
         (staging / "report.txt").write_text(report_to_text(report), encoding="utf-8")
         for detection in report.positives:
@@ -167,7 +173,7 @@ def cmd_train(args):
                                        **config.classifier_kwargs())
 
     save_model(model, args.out)
-    print(f"trained {config.n_trees} trees on {len(y)} samples")
+    print(f"trained {len(model.trees_)} trees on {len(y)} samples")
     print(
         f"{args.cv_folds}-fold cross-validation ({args.cv_split} level): "
         f"mean accuracy {100.0 * cv['mean_accuracy']:.2f}%"

@@ -642,7 +642,7 @@ def save_model(model: BaggedTreesClassifier, path):
         raise ValueError("model must be fitted before saving")
     # Checked here, not in fit: cross-validation's folds fit with seed + 1 on.
     check("seed", model.seed)
-    out = bytearray(_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, model.n_trees, int(model.seed),
+    out = bytearray(_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, len(model.trees_), int(model.seed),
                                  model.min_leaf, model.max_depth, model.n_samples_,
                                  len(_MODEL_NAMES)))
     out += _MODEL_NAMES

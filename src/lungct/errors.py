@@ -45,11 +45,11 @@ class EmptySeriesError(IngestError):
 
 
 class SeriesShapeError(IngestError):
-    """Slices of one series disagree on dimensions or ordering."""
+    """Slices of one series disagree on dimensions."""
 
 
 class MixedSeriesError(IngestError):
-    """Slices from more than one patient in a single series directory."""
+    """A series directory holds more than one patient, or repeats an instance number."""
 
 
 # --- imaging ----------------------------------------------------------------

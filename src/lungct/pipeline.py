@@ -65,23 +65,18 @@ def _slice_task(payload):
         raise SliceError(f"slice {index}: {exc}") from exc
 
 
-def segment_series(slices, config: PipelineConfig, workers=None):
+def segment_series(slices, config: PipelineConfig):
     """Candidates for every slice, ordered by slice index, segmented by
-    ``workers`` processes (``config.threads`` if not given)."""
+    ``config.threads`` processes."""
     tasks = [(i, np.asarray(img), config) for i, img in enumerate(slices)]
-    return map_tasks(_slice_task, tasks, config.threads if workers is None else workers)
+    return map_tasks(_slice_task, tasks, config.threads)
 
 
-def classify_series(series: CtSeries, model, config: PipelineConfig, workers=None):
-    """Run the full detection pipeline over a series, segmenting it as
-    :func:`segment_series` does.
-
-    Returns ``(report, positive_candidates)``; the candidates keep their
-    masks so callers can render overlays.
-    """
-    per_slice = segment_series(series.slices, config, workers=workers)
+def classify_series(series: CtSeries, model, config: PipelineConfig):
+    """The report of the full detection pipeline over a series, segmented as
+    :func:`segment_series` does; each positive keeps its mask for overlays."""
+    per_slice = segment_series(series.slices, config)
     detections = []
-    positives = []
     for slice_index, candidates in enumerate(per_slice):
         for cand in candidates:
             label, confidence = model.predict_one(cand.features)
@@ -97,11 +92,9 @@ def classify_series(series: CtSeries, model, config: PipelineConfig, workers=Non
                     instance_number=series.instance_numbers[slice_index],
                 )
             )
-            positives.append(cand)
-    report = build_report(
+    return build_report(
         series.patient_id, detections, series.slice_thickness_mm, series.pixel_spacing_mm
     )
-    return report, positives
 
 
 def render_overlay(original, mask):

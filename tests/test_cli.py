@@ -15,7 +15,7 @@ import pytest
 
 import lungct
 from lungct import errors
-from lungct.analytics import build_report
+from lungct.analytics import SeriesReport, build_report
 from lungct.base import map_tasks
 from lungct.cli import main, parse_labels_file
 from lungct.config import PipelineConfig
@@ -311,6 +311,32 @@ def test_train_reads_utf8_inputs_under_an_ascii_locale(corpus_csv, tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def test_a_patient_id_utf8_cannot_write_is_an_ingest_error_before_any_output(
+        phantom_dir, model_file, tmp_path):
+    # Under an ASCII locale the folder name's UTF-8 bytes decode to lone surrogates.
+    series_dir = os.fsencode(tmp_path) + b"/P\xc3\xa9"
+    os.mkdir(series_dir)
+    for path in phantom_dir[0].iterdir():
+        with open(series_dir + b"/" + os.fsencode(path.name), "wb") as fh:
+            fh.write(path.read_bytes())
+    out = tmp_path / "out"
+    out.mkdir()
+    features = tmp_path / "features.csv"
+    for argv in (["analyze", "{series}", "--model", str(model_file), "--out", str(out)],
+                 ["extract-features", "{series}", "--out", str(features)]):
+        result = _run_python(
+            "import os, sys\n"
+            "from lungct.cli import main\n"
+            "series = os.path.join(sys.argv[1], os.fsdecode(b'P\\xc3\\xa9'))\n"
+            "sys.exit(main([arg.format(series=series) for arg in sys.argv[2:]]))\n",
+            tmp_path, *argv, LC_ALL="C", PYTHONUTF8="0",
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == ("error: patient id 'P\\udcc3\\udca9' is not text "
+                                 "that UTF-8 can write\n")
+        assert list(out.iterdir()) == [] and not features.exists()
+
+
 def test_analyze_and_extract_features_never_import_scipy(phantom_dir, model_file, tmp_path):
     series_dir, _ = phantom_dir
     result = _run_python(
@@ -560,7 +586,7 @@ def test_slice_failure_reports_slice_index(monkeypatch):
     monkeypatch.setattr(pipeline, "preprocess_slice", boom)
     slices, _ = make_phantom_series(n_slices=3, size=64, seed=0)
     with pytest.raises(RuntimeError, match="slice 0"):
-        segment_series(slices, PipelineConfig(), workers=1)
+        segment_series(slices, PipelineConfig(threads=1))
 
 
 def test_slice_failure_exits_2(monkeypatch, phantom_dir, model_file, tmp_path, capsys):
@@ -1015,11 +1041,9 @@ def test_map_tasks_starts_no_more_workers_than_tasks(monkeypatch, n_tasks, worke
     assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size])
 
 
-@pytest.mark.parametrize("threads, workers, pool_size", [
-    (1, None, None), (3, None, 3), (3, 1, None), (1, 2, 2),
-])
+@pytest.mark.parametrize("threads, pool_size", [(1, None), (3, 3)])
 def test_series_calls_take_their_worker_count_from_the_config(
-        monkeypatch, model_file, threads, workers, pool_size):
+        monkeypatch, model_file, threads, pool_size):
     import concurrent.futures.process as process
 
     monkeypatch.setattr(_RecordingPool, "sizes", [])
@@ -1027,17 +1051,15 @@ def test_series_calls_take_their_worker_count_from_the_config(
     config = PipelineConfig(threads=threads)
     slices = np.zeros((4, 32, 32), dtype=np.uint8)
     series = CtSeries("P", slices, 5.0, (1.0, 1.0), [1, 2, 3, 4])
-    kwargs = {} if workers is None else {"workers": workers}
-    assert segment_series(slices, config, **kwargs) == [[]] * 4
-    classify_series(series, load_model(model_file), config, **kwargs)
+    assert segment_series(slices, config) == [[]] * 4
+    assert isinstance(classify_series(series, load_model(model_file), config), SeriesReport)
     assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size] * 2)
 
 
 def test_segment_series_parallel_equals_serial():
     slices, _ = make_phantom_series(n_slices=4, size=256, tumour_slices=(1,), seed=3)
-    config = PipelineConfig()
-    serial = segment_series(slices, config, workers=1)
-    parallel = segment_series(slices, config, workers=4)
+    serial = segment_series(slices, PipelineConfig(threads=1))
+    parallel = segment_series(slices, PipelineConfig(threads=4))
     assert len(serial) == len(parallel) == 4
     for a, b in zip(serial, parallel):
         assert len(a) == len(b)

@@ -686,6 +686,18 @@ def test_save_load_roundtrip_predictions(tmp_path, rng):
     assert again.read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("n_trees", [2, 4])
+def test_saved_tree_count_is_the_fitted_trees_not_the_parameter(tmp_path, rng, n_trees):
+    X, y = _separable(120)
+    model = BaggedTreesClassifier(n_trees=3, seed=8).fit(X, y).set_params(n_trees=n_trees)
+    path = tmp_path / "model.lctm"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert len(loaded.trees_) == loaded.n_trees == 3
+    probe = rng.uniform(0, 6000, (200, 3))
+    assert model.predict_confidence(probe).tolist() == loaded.predict_confidence(probe).tolist()
+
+
 def _saved_model(tmp_path):
     """A fitted model's file bytes and the offset of tree 0's first node."""
     X, y = _separable(60)
